@@ -2,6 +2,8 @@
 
 All simulation time is whole nanoseconds so runs are bit-exact across
 platforms. Events firing at the same instant dispatch in insertion order.
+A scheduled event always fires: there is no cancellation, so nothing on
+the heap is ever skipped.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ CELL_DEPARTURE = 2
 TIMER_TICK = 3
 APP_SEND = 4
 
-_F_TIME, _F_SEQ, _F_KIND, _F_FN, _F_ARG, _F_DEAD = range(6)
-
 
 class SchedulingError(RuntimeError):
     """An event was scheduled behind the current simulation time."""
@@ -34,38 +34,57 @@ class EngineStateError(RuntimeError):
 class EventQueue:
     """Time-ordered event queue with a monotone clock.
 
-    Heap entries are plain lists [fire_time, seq, kind, callback, payload,
-    cancelled]; seq is a unique insertion counter, so heap comparisons stop
-    at (fire_time, seq) and equal-time events keep FIFO order. Cancellation
-    flips a flag and the entry is skipped on pop.
+    Heap entries are tuples (fire_time, origin, cause, seq, callback,
+    payload, kind): origin is the clock when the event was scheduled, cause
+    the origin of the event being dispatched at that moment (or the clock,
+    outside dispatch), and seq a unique insertion counter. Events are
+    dispatched in (fire_time, origin, cause, seq) order, which for events
+    scheduled by schedule() is exactly (fire_time, seq) order: events firing
+    at the same instant dispatch in insertion order. origin and cause let
+    schedule_as_of() place an event as if it had been scheduled later.
     """
 
     def __init__(self) -> None:
-        self._heap: list[list] = []
+        self._heap: list[tuple] = []
         self._seq = 0
         self._running = False
         self.now = 0
+        self.cause = 0
 
-    def schedule(self, fire_time: int, kind: int, callback, payload=None) -> list:
-        """Queue callback(payload) at fire_time ns; returns a cancellation handle."""
+    def schedule(self, fire_time: int, kind: int, callback, payload=None) -> None:
+        """Queue callback(payload) at fire_time ns."""
         if fire_time < self.now:
             raise SchedulingError(
                 f"event (kind={kind}) scheduled at t={fire_time} ns, behind the "
                 f"clock at t={self.now} ns"
             )
-        entry = [fire_time, self._seq, kind, callback, payload, False]
+        heapq.heappush(
+            self._heap, (fire_time, self.now, self.cause, self._seq, callback, payload, kind)
+        )
         self._seq += 1
-        heapq.heappush(self._heap, entry)
-        return entry
 
-    def cancel(self, handle: list) -> None:
-        # Lazy removal; cancelling twice is a no-op.
-        handle[_F_DEAD] = True
+    def schedule_as_of(
+        self, origin: int, cause: int, fire_time: int, kind: int, callback, payload=None
+    ) -> None:
+        """schedule() as if called at the later instant origin, from an event
+        that was itself scheduled at cause.
+
+        This lets a component that works out a future hand-off early, with
+        no event of its own at origin, keep the place among equal-time
+        events that the hand-off would have had if such an event had made
+        it. Ties that reach past cause fall back to insertion order.
+        """
+        now, current = self.now, self.cause
+        self.now, self.cause = origin, cause
+        try:
+            self.schedule(fire_time, kind, callback, payload)
+        finally:
+            self.now, self.cause = now, current
 
     def run_until(self, end: int) -> int:
         """Dispatch every event with fire_time <= end and leave the clock at end.
 
-        Returns the number of events dispatched (cancelled entries excluded).
+        Returns the number of events dispatched.
         """
         if self._running:
             raise EngineStateError("run_until re-entered while dispatching")
@@ -77,19 +96,18 @@ class EventQueue:
         self._running = True
         try:
             while heap and heap[0][0] <= end:
-                entry = pop(heap)
-                if entry[5]:
-                    continue
-                self.now = entry[0]
-                entry[3](entry[4])
+                fire_time, origin, _, _, callback, payload, _ = pop(heap)
+                self.now = fire_time
+                self.cause = origin
+                callback(payload)
                 dispatched += 1
         finally:
             self._running = False
-        self.now = end
+        self.now = self.cause = end
         return dispatched
 
     def pending(self, kind: int | None = None) -> int:
-        """Count live queued events, optionally restricted to one kind."""
+        """Count queued events, optionally restricted to one kind."""
         if kind is None:
-            return sum(1 for e in self._heap if not e[_F_DEAD])
-        return sum(1 for e in self._heap if not e[_F_DEAD] and e[_F_KIND] == kind)
+            return len(self._heap)
+        return sum(1 for e in self._heap if e[6] == kind)

@@ -4,6 +4,25 @@ Topology (fixed): N source hosts -> switch A -> bottleneck link -> switch B
 -> N destination hosts, with acks riding the reverse path through the same
 switches. Each run owns all of its state and is single-threaded; the sweep
 runner executes independent runs in separate processes.
+
+Only the two shared ports queue: A.fwd (data onto the bottleneck) and B.rev
+(acks back). The per-host legs behind them, B.dst<i> to destination i and
+A.src<i> to source i, each carry one VC fed at line rate by one same-rate
+port, so they hold at most two cells and never drop (a hop raises
+InvariantError rather than diverge if one could). Each is a SerializerHop,
+not a queue: the upstream departure hands the cell straight to the hop,
+which computes its arrival and completion times and schedules one
+CELL_ARRIVAL at the host. That is three engine events per data cell
+(link arrival, bottleneck departure, host arrival) instead of five.
+
+Results are identical to queued legs. Completion times come from the same
+CellClock arithmetic. A cell arriving exactly as the leg's last cell
+completes joins that busy period only if the link delay is at least one
+cell time (prop * den >= num, exact), which is the order the engine gave
+those two equal-time events when the leg was queued. The host arrival is
+scheduled as of the instant the leg's departure event would have scheduled
+it, so it keeps its place among equal-time events. RunResult still reports
+each leg's peak occupancy, and its zero drops, under the leg's name.
 """
 
 from __future__ import annotations
@@ -12,7 +31,7 @@ from .aal5 import CellLink, Segment, Reassembler, segment_to_cells
 from .engine import APP_SEND, CELL_ARRIVAL, TIMER_TICK, EventQueue, NS_PER_SEC
 from .metrics import RunResult
 from .scenario import Scenario
-from .switches import DropReason, InvariantError, OutputPort
+from .switches import DropReason, InvariantError, OutputPort, SerializerHop
 from .tcp import TcpReceiver, TcpSender
 
 
@@ -111,27 +130,25 @@ class Simulation:
         self.srcs = [_SrcEndpoint(self, i, self.senders[i]) for i in range(n)]
 
         eng = self.engine
-        # Switch B fan-out: one port per destination host.
-        self.b_dst_ports = [
-            OutputPort(eng, f"B.dst{i}", n, fwd_cap, fwd_cfg, rate, prop,
-                       self.dests[i].on_cell, audit)
+        # Switch B fan-out: one leg per destination host, over the bottleneck.
+        self.b_dst_hops = [
+            SerializerHop(eng, f"B.dst{i}", fwd_cap, fwd_cfg, rate, prop, self.dests[i].on_cell)
             for i in range(n)
         ]
-        # Switch A fan-out: one port per source host (ack delivery legs).
-        self.a_src_ports = [
-            OutputPort(eng, f"A.src{i}", n, rev_cap, rev_cfg, rate, prop,
-                       self.srcs[i].on_cell, audit)
+        # Switch A fan-out: one ack leg per source host, over the reverse link.
+        self.a_src_hops = [
+            SerializerHop(eng, f"A.src{i}", rev_cap, rev_cfg, rate, prop, self.srcs[i].on_cell)
             for i in range(n)
         ]
         self.a_fwd_port = OutputPort(
-            eng, "A.fwd", n, fwd_cap, fwd_cfg, rate, prop,
-            [p.on_cell_arrival for p in self.b_dst_ports], audit,
+            eng, "A.fwd", n, fwd_cap, fwd_cfg, rate,
+            [h.on_cell for h in self.b_dst_hops], audit,
         )
         self.b_rev_port = OutputPort(
-            eng, "B.rev", n, rev_cap, rev_cfg, rate, prop,
-            [p.on_cell_arrival for p in self.a_src_ports], audit,
+            eng, "B.rev", n, rev_cap, rev_cfg, rate,
+            [h.on_cell for h in self.a_src_hops], audit,
         )
-        self.ports = [self.a_fwd_port, self.b_rev_port] + self.b_dst_ports + self.a_src_ports
+        self.ports = [self.a_fwd_port, self.b_rev_port]
 
         for i in range(n):
             self.srcs[i].data_link = CellLink(eng, rate, prop, self.a_fwd_port.on_cell_arrival)
@@ -199,8 +216,11 @@ class Simulation:
         scn = self.scenario
         n = scn.n_sources
         delivered_bytes = [d.receiver.rcv_nxt for d in self.dests]
+        hops = self.b_dst_hops + self.a_src_hops
         max_queue_by_port = {p.name: p.max_x for p in self.ports}
+        max_queue_by_port.update((h.name, h.peak(self.engine.now)) for h in hops)
         drops_by_port = {p.name: p.drops_total() for p in self.ports}
+        drops_by_port.update((h.name, 0) for h in hops)
         drops_by_reason: dict[str, int] = {}
         for reason in DropReason:
             if reason is DropReason.NONE:
@@ -216,6 +236,7 @@ class Simulation:
             s.reasm.discards for s in self.srcs
         )
         dropped = sum(drops_by_port.values())
+        # A cell inside a hop is a pending CELL_ARRIVAL at its host.
         residual = sum(p.x for p in self.ports) + self.engine.pending(CELL_ARRIVAL)
         result = RunResult.from_counters(
             per_conn_delivered_bytes=delivered_bytes,
@@ -235,7 +256,7 @@ class Simulation:
             cells_dropped=dropped,
             cells_residual=residual,
         )
-        if self.audit and not result.cells_conserved():
+        if not result.cells_conserved():
             raise InvariantError(
                 f"cell conservation broke: injected {result.cells_injected} != "
                 f"delivered {result.cells_delivered} + dropped {result.cells_dropped} "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -61,26 +62,37 @@ class SweepSpec:
             * len(self.policies) * len(self.r_fractions) * len(self.zs)
         )
 
+    def _combinations(self):
+        """Cross-product tuples in listed order (outermost key first)."""
+        return itertools.product(
+            self.configs, self.sources, self.buffers, self.policies, self.r_fractions, self.zs
+        )
+
+    def _build(self, config, n, buf, policy, rf, z) -> Scenario:
+        return build_scenario(
+            config=config,
+            sources=n,
+            buffer=buf,
+            policy=policy,
+            r_fraction=rf,
+            z=z,
+            duration_ns=self.duration_ns,
+        )
+
     def scenarios(self) -> list[Scenario]:
-        """Expand the cross product in listed order (outermost key first)."""
-        out = []
-        for config in self.configs:
-            for n in self.sources:
-                for buf in self.buffers:
-                    for policy in self.policies:
-                        for rf in self.r_fractions:
-                            for z in self.zs:
-                                out.append(
-                                    build_scenario(
-                                        config=config,
-                                        sources=n,
-                                        buffer=buf,
-                                        policy=policy,
-                                        r_fraction=rf,
-                                        z=z,
-                                        duration_ns=self.duration_ns,
-                                    )
-                                )
+        """Expand the cross product; an invalid combination raises ScenarioError."""
+        return [self._build(*combo) for combo in self._combinations()]
+
+    def points(self) -> list:
+        """The cross product as run_sweep takes it: the Scenario of each valid
+        combination and, in place of each invalid one, the error row that
+        reports it, so one bad combination does not sink the sweep."""
+        out: list = []
+        for combo in self._combinations():
+            try:
+                out.append(self._build(*combo))
+            except ScenarioError as exc:
+                out.append(_error_row(*combo, exc))
         return out
 
 
@@ -143,35 +155,45 @@ def row_for(scenario: Scenario, result: RunResult) -> ResultRow:
     )
 
 
+def _error_row(config, n_sources, buffer_cells, policy, r_fraction, z, exc) -> ResultRow:
+    """A row that keeps a point's configuration and reports why it has no result."""
+    return ResultRow(
+        config=config,
+        n_sources=n_sources,
+        buffer_cells=buffer_cells,
+        policy=policy,
+        r_fraction=None if r_fraction is None else float(r_fraction),
+        z=None if z is None else float(z),
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
 def _run_one(scenario: Scenario) -> ResultRow:
     try:
         return row_for(scenario, run_scenario(scenario))
     except Exception as exc:  # a failed run must not sink the sweep
-        z = scenario.z
-        return ResultRow(
-            config=scenario.config_class,
-            n_sources=scenario.n_sources,
-            buffer_cells=scenario.buffer_cells,
-            policy=scenario.policy.name.lower(),
-            r_fraction=scenario.r_fraction,
-            z=None if z is None else float(z),
-            error=f"{type(exc).__name__}: {exc}",
+        return _error_row(
+            scenario.config_class, scenario.n_sources, scenario.buffer_cells,
+            scenario.policy.name.lower(), scenario.r_fraction, scenario.z, exc,
         )
 
 
 def run_sweep(
-    scenarios, parallelism: int = 1, report=None
+    points, parallelism: int = 1, report=None
 ) -> list[ResultRow]:
     """Run scenarios in order; rows come back in input order regardless of
-    parallel completion order."""
-    scenarios = list(scenarios)
+    parallel completion order. A ResultRow among the points (an invalid
+    combination's error row, see SweepSpec.points) is passed through."""
+    points = list(points)
+    scenarios = [p for p in points if isinstance(p, Scenario)]
     if report is not None:
         print(f"sweep: {len(scenarios)} runs, parallelism {parallelism}", file=report)
     if parallelism <= 1 or len(scenarios) <= 1:
-        rows = [_run_one(s) for s in scenarios]
+        ran = map(_run_one, scenarios)
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            rows = list(pool.map(_run_one, scenarios, chunksize=1))
+            ran = iter(list(pool.map(_run_one, scenarios, chunksize=1)))
+    rows = [next(ran) if isinstance(p, Scenario) else p for p in points]
     for row in rows:
         if row.error is not None and report is not None:
             print(f"sweep: run failed ({row.config}/{row.n_sources}/"

@@ -1,4 +1,5 @@
-"""Output-buffered switch ports with the four UBR+ drop policies.
+"""Output-buffered switch ports with the four UBR+ drop policies, and the
+serializer hops that stand in for uncontended per-VC output legs.
 
 Every decision test runs in exact integer arithmetic: the cutoff Z is kept
 as a rational and the load-ratio comparisons are cross-multiplied, so no
@@ -7,6 +8,8 @@ float ever enters a drop decision.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -141,6 +144,12 @@ class OutputPort:
     Per-VC counters are updated only by enqueue/dequeue, never by scanning,
     so the per-cell cost stays O(1). The optional audit mode recomputes the
     accounting identities after every mutation.
+
+    Next-hop contract: next_hop holds one callable per VC. When a cell
+    finishes transmission, the port calls next_hop[vc](cell) at that
+    instant, before it starts serving the next cell. The port itself has no
+    propagation delay; the next hop owns the link that leaves the port and
+    schedules whatever the cell does next.
     """
 
     def __init__(
@@ -151,13 +160,12 @@ class OutputPort:
         capacity: int | None,
         cfg: PolicyConfig,
         rate_bps: int,
-        prop_ns: int,
-        sink,
+        next_hop: list,
         audit: bool = False,
     ) -> None:
-        """sink is the far-end arrival callback, or a per-VC list of them
-        when this port fans out to one next hop per virtual circuit."""
         cfg.validate(capacity)
+        if len(next_hop) != n_vcs:
+            raise ValueError(f"{name}: {len(next_hop)} next hops for {n_vcs} VCs")
         self.engine = engine
         self.name = name
         self.capacity = capacity
@@ -175,13 +183,7 @@ class OutputPort:
         self.na = 0
         self.discard_pid: list[int | None] = [None] * n_vcs
         self.clock = CellClock(rate_bps)
-        self.prop_ns = prop_ns
-        if isinstance(sink, list):
-            self.sink_table: list | None = sink
-            self.sink = None
-        else:
-            self.sink_table = None
-            self.sink = sink
+        self.next_hop = list(next_hop)
         self.busy = False
         self.audit = audit
         # statistics
@@ -266,12 +268,9 @@ class OutputPort:
         if not yv:
             self.na -= 1
         self.cells_out += 1
-        engine = self.engine
-        table = self.sink_table
-        target = self.sink if table is None else table[vc]
-        engine.schedule(engine.now + self.prop_ns, CELL_ARRIVAL, target, cell)
+        self.next_hop[vc](cell)
         if x:
-            engine.schedule(
+            self.engine.schedule(
                 self.clock.continue_period(), CELL_DEPARTURE,
                 self._on_service_done, None,
             )
@@ -294,3 +293,98 @@ class OutputPort:
 
     def drops_total(self) -> int:
         return sum(self.drops_by_reason)
+
+
+class SerializerHop:
+    """One VC's uncontended output leg, folded into its upstream departure.
+
+    Stands for a link of delay prop_ns into a switch, a FIFO port that only
+    this VC uses, and a second link of delay prop_ns out to sink. Fed at line
+    rate by one same-rate upstream port, such a port never holds more than
+    two cells and never drops, so it needs no queue and no departure event:
+    on_cell runs when the upstream port finishes the cell, works out the
+    cell's arrival time t = now + prop_ns and its completion time on this
+    hop's CellClock, and schedules exactly one CELL_ARRIVAL at sink, at
+    completion + prop_ns.
+
+    Tie rule: a cell arriving at t joins the current busy period if t is
+    before the completion of the last cell, and also when t equals it if
+    prop_ns is at least one cell time; otherwise it starts a fresh period.
+    It copies the order in which the engine dispatched the two equal-time
+    events when the leg was a queued port: the arrival was scheduled prop_ns
+    before t, the departure one rounded cell time (2726 or 2727 ns at
+    155.52 Mbps) before it, and the earlier schedule fires first. Where
+    both fall on the same instant the rule was checked against the queued
+    port, bit for bit, with link delays of 2726 and 2727 ns. The cell time
+    is compared as an exact rational: prop_ns * den >= num.
+
+    The host arrival is scheduled as of the completion time, by a departure
+    scheduled when the cell's service began, which is where the queued
+    leg's departure event would have scheduled it. So it keeps that event's
+    place among equal-time events (see EventQueue.schedule_as_of).
+
+    peak(end) is the peak occupancy the replaced port would have reported
+    for a run ending at end; arrivals after end do not count. Should an
+    arrival find as many cells as would have let that port's policy drop
+    one (capacity for tail drop, min(capacity, R + 1) for the frame-aware
+    policies), the hop raises InvariantError rather than let the result
+    drift from the queued model.
+    """
+
+    __slots__ = ("engine", "name", "clock", "prop_ns", "sink", "limit", "edge", "done", "reached")
+
+    def __init__(
+        self,
+        engine,
+        name: str,
+        capacity: int | None,
+        cfg: PolicyConfig,
+        rate_bps: int,
+        prop_ns: int,
+        sink,
+    ) -> None:
+        cfg.validate(capacity)
+        self.engine = engine
+        self.name = name
+        self.clock = clock = CellClock(rate_bps)
+        self.prop_ns = prop_ns
+        self.sink = sink
+        limit = math.inf if capacity is None else capacity
+        if cfg.policy is not Policy.TAIL_DROP:
+            limit = min(limit, cfg.r_cells + 1)
+        self.limit = limit
+        # Cells completing before arrival time + edge have left the port:
+        # edge 0 keeps one completing exactly at the arrival (tie joins).
+        self.edge = 0 if prop_ns * clock.den >= clock.num else 1
+        self.done: deque = deque()  # completion times of cells still in the port
+        self.reached: list[int] = []  # reached[k]: first arrival time finding k cells
+
+    def on_cell(self, cell) -> None:
+        t = self.engine.now + self.prop_ns
+        done = self.done
+        gone = t + self.edge
+        while done and done[0] < gone:
+            done.popleft()
+        x = len(done)
+        if x >= self.limit:
+            raise InvariantError(
+                f"{self.name}: a cell found {x} cells queued at t={t} ns, where the "
+                f"port's policy could drop it"
+            )
+        if x == len(self.reached):
+            self.reached.append(t)
+        clock = self.clock
+        if x:
+            started = done[-1]  # service begins as the cell ahead completes
+            completion = clock.continue_period()
+        else:
+            started = t
+            completion = clock.start_period(t)
+        done.append(completion)
+        self.engine.schedule_as_of(
+            completion, started, completion + self.prop_ns, CELL_ARRIVAL, self.sink, cell
+        )
+
+    def peak(self, end: int) -> int:
+        """Most cells the leg held at once among arrivals up to time end."""
+        return bisect_right(self.reached, end)

@@ -1,4 +1,4 @@
-"""Event engine contract: ordering, ties, cancellation, clock discipline."""
+"""Event engine contract: ordering, ties, clock discipline."""
 
 from __future__ import annotations
 
@@ -33,18 +33,6 @@ def test_equal_times_dispatch_in_insertion_order():
         eng.schedule(70, APP_SEND, _collector(log, i))
     eng.run_until(70)
     assert [tag for tag, _ in log] == list(range(20))
-
-
-def test_cancelled_event_never_dispatches_and_double_cancel_is_noop():
-    eng = EventQueue()
-    log = []
-    handle = eng.schedule(10, APP_SEND, _collector(log, "cancelled"))
-    eng.schedule(20, APP_SEND, _collector(log, "kept"))
-    eng.cancel(handle)
-    eng.cancel(handle)
-    dispatched = eng.run_until(100)
-    assert log == [("kept", None)]
-    assert dispatched == 1
 
 
 def test_scheduling_in_the_past_fails_loudly():
@@ -126,8 +114,34 @@ def test_pending_counts_by_kind():
     eng = EventQueue()
     eng.schedule(5, CELL_ARRIVAL, lambda _: None)
     eng.schedule(6, CELL_ARRIVAL, lambda _: None)
-    h = eng.schedule(7, CELL_ARRIVAL, lambda _: None)
     eng.schedule(8, APP_SEND, lambda _: None)
-    eng.cancel(h)
     assert eng.pending(CELL_ARRIVAL) == 2
     assert eng.pending() == 3
+    eng.run_until(5)
+    assert eng.pending(CELL_ARRIVAL) == 1
+    assert eng.pending() == 2
+
+
+def test_schedule_as_of_orders_equal_time_events_by_origin_then_cause():
+    eng = EventQueue()
+    log = []
+
+    def schedule_at_50(tag):
+        eng.schedule(50, APP_SEND, _collector(log, tag))
+
+    eng.schedule(10, APP_SEND, schedule_at_50, "from 10")
+    eng.schedule(30, APP_SEND, schedule_at_50, "from 30, scheduled at 0")
+    eng.schedule(20, APP_SEND, lambda _: eng.schedule(
+        30, APP_SEND, schedule_at_50, "from 30, scheduled at 20"))
+    # Made at t=0, placed as if made at t=20 and at t=30 by an event scheduled at t=10.
+    eng.schedule_as_of(20, 0, 50, APP_SEND, _collector(log, "as of 20"))
+    eng.schedule_as_of(30, 10, 50, APP_SEND, _collector(log, "as of 30, cause 10"))
+    eng.run_until(100)
+    assert [tag for tag, _ in log] == [
+        "from 10",
+        "as of 20",
+        "from 30, scheduled at 0",
+        "as of 30, cause 10",
+        "from 30, scheduled at 20",
+    ]
+    assert (eng.now, eng.cause) == (100, 100)

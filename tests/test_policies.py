@@ -185,8 +185,8 @@ def _mk_port(policy, capacity, n_vcs=3, r=None, z=None, audit=True):
     eng = EventQueue()
     sink = []
     cfg = PolicyConfig(policy, r, z)
-    port = OutputPort(eng, "p", n_vcs, capacity, cfg, RATE, 0,
-                      lambda cell: sink.append(cell), audit=audit)
+    port = OutputPort(eng, "p", n_vcs, capacity, cfg, RATE,
+                      [sink.append] * n_vcs, audit=audit)
     return eng, port, sink
 
 

@@ -114,3 +114,17 @@ def test_acks_survive_tight_reverse_buffer():
                 r_fraction=Fraction(9, 10))
     result = run_scenario(scn, audit=True)
     assert all(b > 0 for b in result.per_conn_delivered_bytes)
+
+
+def test_conservation_is_checked_without_audit():
+    from ubrsim.engine import APP_SEND
+    from ubrsim.switches import InvariantError
+
+    sim = Simulation(_tiny(buffer=None))
+
+    def lose_a_delivery(_):
+        sim.cells_delivered -= 1
+
+    sim.engine.schedule(TENTH_SECOND // 2, APP_SEND, lose_a_delivery)
+    with pytest.raises(InvariantError, match="conservation"):
+        sim.run()

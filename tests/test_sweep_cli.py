@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from ubrsim.scenario import build_scenario
+from ubrsim.scenario import ScenarioError, build_scenario
 from ubrsim.sim import run_scenario
 from ubrsim.sweep import (
     CSV_HEADER,
@@ -212,3 +212,32 @@ def test_cli_trace_emits_time_cwnd_lines(tmp_path):
     t, cwnd = body[0].split(",")
     assert int(t) >= 0 and int(cwnd) == 512
     assert "# conn 1" in lines
+
+
+def test_invalid_sweep_point_becomes_one_error_row():
+    spec = SweepSpec(sources=(2,), buffers=(None, 500), policies=("tail_drop", "epd"),
+                     duration_ns=20_000_000)
+    with pytest.raises(ScenarioError):
+        spec.scenarios()
+    rows = run_sweep(spec.points())
+    assert [(r.buffer_cells, r.policy) for r in rows] == [
+        (None, "tail_drop"), (None, "epd"), (500, "tail_drop"), (500, "epd"),
+    ]
+    assert [r.error is None for r in rows] == [True, False, True, True]
+    assert rows[1].error == "ScenarioError: buffer: policy EPD requires a finite buffer"
+    assert rows[1].efficiency is None
+
+
+def test_cli_sweep_with_invalid_point_emits_every_row(tmp_path):
+    sweep = tmp_path / "mixed.sweep"
+    sweep.write_text(
+        "[sweep]\nconfig = lan\nsources = 2\nbuffer = infinite, 500\n"
+        "policy = tail_drop, epd\nduration_s = 0.02\n"
+    )
+    proc = _cli("sweep", str(sweep), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert [(d["buffer_cells"], d["policy"]) for d in data] == [
+        ("infinite", "tail_drop"), ("infinite", "epd"), (500, "tail_drop"), (500, "epd"),
+    ]
+    assert [("error" in d) for d in data] == [False, True, False, False]
