@@ -11,8 +11,6 @@ from .switches import (
     Verdict,
     epd_decide,
     fba_decide,
-    fba_threshold_identity_check,
-    load_ratio,
     selective_drop_decide,
     tail_drop_decide,
 )
@@ -38,8 +36,6 @@ __all__ = [
     "Verdict",
     "epd_decide",
     "fba_decide",
-    "fba_threshold_identity_check",
-    "load_ratio",
     "selective_drop_decide",
     "tail_drop_decide",
     "RttEstimator",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .engine import CELL_ARRIVAL, NS_PER_SEC
 
@@ -84,8 +85,12 @@ class Reassembler:
         return None
 
 
+@cache
 def cell_time_fraction(rate_bps: int) -> Fraction:
-    """Exact cell transmission time in nanoseconds for a link rate."""
+    """Exact cell transmission time in nanoseconds for a link rate.
+
+    Computed once per rate and shared: a run wires four CellClocks per
+    source, and building the Fraction dominated their construction."""
     return Fraction(CELL_WIRE_BYTES * 8 * NS_PER_SEC, rate_bps)
 
 

@@ -11,23 +11,29 @@ A.src<i> to source i, each carry one VC fed at line rate by one same-rate
 port, so they hold at most two cells and never drop (a hop raises
 InvariantError rather than diverge if one could). Each is a SerializerHop,
 not a queue: the upstream departure hands the cell straight to the hop,
-which computes its arrival and completion times and schedules one
-CELL_ARRIVAL at the host. That is three engine events per data cell
-(link arrival, bottleneck departure, host arrival) instead of five.
+which computes its arrival, completion and host arrival times and
+reassembles it into its AAL5 frame on the spot. A host acts only on whole
+frames, so the hop schedules one CELL_ARRIVAL at the host per complete
+frame, carrying its Segment, and none for the other cells. That is two
+engine events per data cell (link arrival, bottleneck departure) plus one
+per frame.
 
-Results are identical to queued legs. Completion times come from the same
-CellClock arithmetic. A cell arriving exactly as the leg's last cell
-completes joins that busy period only if the link delay is at least one
-cell time (prop * den >= num, exact), which is the order the engine gave
-those two equal-time events when the leg was queued. The host arrival is
-scheduled as of the instant the leg's departure event would have scheduled
-it, so it keeps its place among equal-time events. RunResult still reports
-each leg's peak occupancy, and its zero drops, under the leg's name.
+Results are identical to queued legs with per-cell delivery. Completion
+times come from the same CellClock arithmetic. A cell arriving exactly as
+the leg's last cell completes joins that busy period only if the link delay
+is at least one cell time (prop * den >= num, exact), which is the order the
+engine gave those two equal-time events when the leg was queued. A frame is
+delivered at its last cell's host arrival, scheduled as of the instant the
+leg's departure event would have scheduled that cell, so it keeps its place
+among equal-time events; the cells that completed no frame scheduled nothing
+there. RunResult still reports each leg's peak occupancy, and its zero drops,
+under the leg's name, and the hops count delivered, discarded and in-flight
+cells as of the horizon, as per-cell delivery did.
 """
 
 from __future__ import annotations
 
-from .aal5 import CellLink, Segment, Reassembler, segment_to_cells
+from .aal5 import CellLink, Segment, segment_to_cells
 from .engine import APP_SEND, CELL_ARRIVAL, TIMER_TICK, EventQueue, NS_PER_SEC
 from .metrics import RunResult
 from .scenario import Scenario
@@ -36,44 +42,34 @@ from .tcp import TcpReceiver, TcpSender
 
 
 class _DestEndpoint:
-    """Destination host glue: reassembly, the TCP receiver, and its ack path."""
+    """Destination host glue: the TCP receiver and its ack path."""
 
-    __slots__ = ("sim", "conn", "reasm", "receiver", "ack_link")
+    __slots__ = ("sim", "conn", "receiver", "ack_link")
 
     def __init__(self, sim, conn: int, mss: int) -> None:
         self.sim = sim
         self.conn = conn
-        self.reasm = Reassembler()
         self.receiver = TcpReceiver(mss)
         self.ack_link: CellLink | None = None
 
-    def on_cell(self, cell) -> None:
-        sim = self.sim
-        sim.cells_delivered += 1
-        seg = self.reasm.push(cell)
-        if seg is not None:
-            ack_no = self.receiver.on_segment(seg.seq, seg.payload_len)
-            sim.emit_segments((Segment(self.conn, True, 0, 0, ack_no),), self.ack_link)
+    def on_frame(self, seg: Segment) -> None:
+        ack_no = self.receiver.on_segment(seg.seq, seg.payload_len)
+        self.sim.emit_segments((Segment(self.conn, True, 0, 0, ack_no),), self.ack_link)
 
 
 class _SrcEndpoint:
-    """Source host glue: ack reassembly, the TCP sender, and its data path."""
+    """Source host glue: the TCP sender and its data path."""
 
-    __slots__ = ("sim", "conn", "reasm", "sender", "data_link")
+    __slots__ = ("sim", "conn", "sender", "data_link")
 
     def __init__(self, sim, conn: int, sender: TcpSender) -> None:
         self.sim = sim
         self.conn = conn
-        self.reasm = Reassembler()
         self.sender = sender
         self.data_link: CellLink | None = None
 
-    def on_cell(self, cell) -> None:
+    def on_frame(self, seg: Segment) -> None:
         sim = self.sim
-        sim.cells_delivered += 1
-        seg = self.reasm.push(cell)
-        if seg is None:
-            return
         sender = self.sender
         now = sim.engine.now
         tick_ns = sim.tick_ns
@@ -85,7 +81,7 @@ class _SrcEndpoint:
             out = sender.try_send(now_tick, arm_tick)
             if out:
                 sim.emit_segments(out, self.data_link)
-        if sim.tracing:
+        if sim.cwnd_traces is not None:
             sim.record_cwnd(self.conn)
 
 
@@ -97,7 +93,6 @@ class Simulation:
         scenario: Scenario,
         audit: bool = False,
         collect_cwnd: bool = False,
-        collect_rounds: bool = False,
     ) -> None:
         self.scenario = scenario
         self.engine = EventQueue()
@@ -112,7 +107,6 @@ class Simulation:
         rev_cfg = scenario.policy_config(rev_cap)
 
         self.cells_injected = 0
-        self.cells_delivered = 0
         self._packet_seq = 0
 
         self.senders = [
@@ -132,12 +126,12 @@ class Simulation:
         eng = self.engine
         # Switch B fan-out: one leg per destination host, over the bottleneck.
         self.b_dst_hops = [
-            SerializerHop(eng, f"B.dst{i}", fwd_cap, fwd_cfg, rate, prop, self.dests[i].on_cell)
+            SerializerHop(eng, f"B.dst{i}", fwd_cap, fwd_cfg, rate, prop, self.dests[i].on_frame)
             for i in range(n)
         ]
         # Switch A fan-out: one ack leg per source host, over the reverse link.
         self.a_src_hops = [
-            SerializerHop(eng, f"A.src{i}", rev_cap, rev_cfg, rate, prop, self.srcs[i].on_cell)
+            SerializerHop(eng, f"A.src{i}", rev_cap, rev_cfg, rate, prop, self.srcs[i].on_frame)
             for i in range(n)
         ]
         self.a_fwd_port = OutputPort(
@@ -157,11 +151,6 @@ class Simulation:
         self.cwnd_traces: list[list[tuple[int, int]]] | None = (
             [[] for _ in range(n)] if collect_cwnd else None
         )
-        self.round_traces: list[list[int]] | None = (
-            [[] for _ in range(n)] if collect_rounds else None
-        )
-        self._round_targets = [0] * n
-        self.tracing = collect_cwnd or collect_rounds
 
     def emit_segments(self, segments, link: CellLink) -> None:
         cells = []
@@ -174,16 +163,10 @@ class Simulation:
         link.send_cells(cells, self.engine.now)
 
     def record_cwnd(self, conn: int) -> None:
-        sender = self.senders[conn]
-        if self.cwnd_traces is not None:
-            trace = self.cwnd_traces[conn]
-            if not trace or trace[-1][1] != sender.cwnd:
-                trace.append((self.engine.now, sender.cwnd))
-        if self.round_traces is not None:
-            # A round ends when the ack clock has covered one full window.
-            if sender.snd_una >= self._round_targets[conn]:
-                self.round_traces[conn].append(sender.cwnd)
-                self._round_targets[conn] = sender.snd_nxt
+        cwnd = self.senders[conn].cwnd
+        trace = self.cwnd_traces[conn]
+        if not trace or trace[-1][1] != cwnd:
+            trace.append((self.engine.now, cwnd))
 
     def _on_tick(self, _arg) -> None:
         eng = self.engine
@@ -193,7 +176,7 @@ class Simulation:
                 out = sender.try_send(now_tick)
                 if out:
                     self.emit_segments(out, self.srcs[i].data_link)
-                if self.tracing:
+                if self.cwnd_traces is not None:
                     self.record_cwnd(i)
         eng.schedule(eng.now + self.tick_ns, TIMER_TICK, self._on_tick, None)
 
@@ -201,7 +184,7 @@ class Simulation:
         out = self.senders[conn].try_send(0)
         if out:
             self.emit_segments(out, self.srcs[conn].data_link)
-        if self.tracing:
+        if self.cwnd_traces is not None:
             self.record_cwnd(conn)
 
     def run(self) -> RunResult:
@@ -217,8 +200,9 @@ class Simulation:
         n = scn.n_sources
         delivered_bytes = [d.receiver.rcv_nxt for d in self.dests]
         hops = self.b_dst_hops + self.a_src_hops
+        end = self.engine.now
         max_queue_by_port = {p.name: p.max_x for p in self.ports}
-        max_queue_by_port.update((h.name, h.peak(self.engine.now)) for h in hops)
+        max_queue_by_port.update((h.name, h.peak(end)) for h in hops)
         drops_by_port = {p.name: p.drops_total() for p in self.ports}
         drops_by_port.update((h.name, 0) for h in hops)
         drops_by_reason: dict[str, int] = {}
@@ -232,12 +216,13 @@ class Simulation:
         for p in self.ports:
             for vc in range(n):
                 drops_by_vc[vc] += p.drops_by_vc[vc]
-        discards = sum(d.reasm.discards for d in self.dests) + sum(
-            s.reasm.discards for s in self.srcs
-        )
+        discards = sum(h.discards(end) for h in hops)
         dropped = sum(drops_by_port.values())
-        # A cell inside a hop is a pending CELL_ARRIVAL at its host.
-        residual = sum(p.x for p in self.ports) + self.engine.pending(CELL_ARRIVAL)
+        in_hops = sum(h.in_flight(end) for h in hops)
+        # Pending CELL_ARRIVALs are cells on the links into the ports, plus
+        # one whole-frame delivery per frame a hop has scheduled at a host.
+        on_links = self.engine.pending(CELL_ARRIVAL) - sum(h.frames_pending(end) for h in hops)
+        residual = sum(p.x for p in self.ports) + on_links + in_hops
         result = RunResult.from_counters(
             per_conn_delivered_bytes=delivered_bytes,
             duration_s=scn.duration_ns / NS_PER_SEC,
@@ -252,7 +237,7 @@ class Simulation:
             retransmitted_segments=sum(s.retransmits for s in self.senders),
             timeouts=sum(s.timeouts for s in self.senders),
             cells_injected=self.cells_injected,
-            cells_delivered=self.cells_delivered,
+            cells_delivered=sum(h.delivered(end) for h in hops),
             cells_dropped=dropped,
             cells_residual=residual,
         )

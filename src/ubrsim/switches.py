@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .engine import CELL_ARRIVAL, CELL_DEPARTURE
-from .aal5 import CellClock
+from .aal5 import CellClock, Reassembler
 
 
 class Policy(IntEnum):
@@ -75,11 +75,6 @@ def epd_decide(x: int, k: int, r: int, first_cell: bool) -> DropDecision:
     return ACCEPT
 
 
-def load_ratio(y_i: int, n_a: int, x: int) -> Fraction:
-    """Exact buffer share of one VC relative to the fair allocation x/n_a."""
-    return Fraction(y_i * n_a, x)
-
-
 def selective_drop_decide(
     x: int, k: int, r: int, y_i: int, n_a: int,
     z_num: int, z_den: int, first_cell: bool,
@@ -106,13 +101,6 @@ def fba_decide(
     if first_cell and x > r and y_i * n_a * (x - r) * z_den > z_num * x * (k - r):
         return DROP_LOAD_RATIO
     return ACCEPT
-
-
-def fba_threshold_identity_check(k: int, x: int, r: int) -> bool:
-    """Self-test that the two cutoff spellings agree: 1+(K-X)/(X-R) == (K-R)/(X-R)."""
-    if not r < x <= k:
-        raise ValueError(f"need R < X <= K, got K={k} X={x} R={r}")
-    return 1 + Fraction(k - x, x - r) == Fraction(k - r, x - r)
 
 
 @dataclass(frozen=True)
@@ -296,16 +284,22 @@ class OutputPort:
 
 
 class SerializerHop:
-    """One VC's uncontended output leg, folded into its upstream departure.
+    """One VC's uncontended output leg and its host's AAL5 reassembly,
+    folded into the upstream departure.
 
     Stands for a link of delay prop_ns into a switch, a FIFO port that only
-    this VC uses, and a second link of delay prop_ns out to sink. Fed at line
-    rate by one same-rate upstream port, such a port never holds more than
-    two cells and never drops, so it needs no queue and no departure event:
-    on_cell runs when the upstream port finishes the cell, works out the
-    cell's arrival time t = now + prop_ns and its completion time on this
-    hop's CellClock, and schedules exactly one CELL_ARRIVAL at sink, at
-    completion + prop_ns.
+    this VC uses, a second link of delay prop_ns out to a host, and the
+    host's reassembly of the cells into frames. Fed at line rate by one
+    same-rate upstream port, such a port never holds more than two cells and
+    never drops, so it needs no queue and no departure event: on_cell runs
+    when the upstream port finishes the cell, works out the cell's arrival
+    time t = now + prop_ns, its completion time on this hop's CellClock and
+    its host arrival time completion + prop_ns, and pushes it into the
+    hop's Reassembler. Cells reach the host in the order they reach the
+    hop, so reassembly gives the same frames whenever it runs. Only when a
+    push completes a frame does the hop schedule an event: one CELL_ARRIVAL
+    at sink, at the last cell's host arrival, whose payload is the frame's
+    Segment. A cell that completes nothing schedules nothing.
 
     Tie rule: a cell arriving at t joins the current busy period if t is
     before the completion of the last cell, and also when t equals it if
@@ -318,10 +312,17 @@ class SerializerHop:
     port, bit for bit, with link delays of 2726 and 2727 ns. The cell time
     is compared as an exact rational: prop_ns * den >= num.
 
-    The host arrival is scheduled as of the completion time, by a departure
-    scheduled when the cell's service began, which is where the queued
-    leg's departure event would have scheduled it. So it keeps that event's
-    place among equal-time events (see EventQueue.schedule_as_of).
+    The frame is scheduled as of the last cell's completion time, by a
+    departure scheduled when that cell's service began, which is where the
+    queued leg's departure event would have scheduled the cell's host
+    arrival. So it keeps that event's place among equal-time events (see
+    EventQueue.schedule_as_of).
+
+    Counters at a horizon end are those of per-cell delivery: the hop keeps
+    the host arrival time of each cell, frame and reassembly discard not
+    yet known to have reached the host, trimmed as the clock passes, so
+    delivered(end), in_flight(end), frames_pending(end) and discards(end)
+    are exact for any end not behind the clock.
 
     peak(end) is the peak occupancy the replaced port would have reported
     for a run ending at end; arrivals after end do not count. Should an
@@ -331,7 +332,10 @@ class SerializerHop:
     drift from the queued model.
     """
 
-    __slots__ = ("engine", "name", "clock", "prop_ns", "sink", "limit", "edge", "done", "reached")
+    __slots__ = (
+        "engine", "name", "clock", "prop_ns", "sink", "limit", "edge", "done", "reached",
+        "reasm", "cells", "landing", "frames", "discarded",
+    )
 
     def __init__(
         self,
@@ -358,9 +362,18 @@ class SerializerHop:
         self.edge = 0 if prop_ns * clock.den >= clock.num else 1
         self.done: deque = deque()  # completion times of cells still in the port
         self.reached: list[int] = []  # reached[k]: first arrival time finding k cells
+        self.reasm = Reassembler()
+        self.cells = 0  # cells handed to the hop
+        # Host arrival times not yet known to have passed, in time order:
+        self.landing: deque = deque()  # one per cell
+        self.frames: deque = deque()  # one per scheduled frame
+        self.discarded: deque = deque()  # one per reassembly discard
 
     def on_cell(self, cell) -> None:
-        t = self.engine.now + self.prop_ns
+        engine = self.engine
+        now = engine.now
+        prop = self.prop_ns
+        t = now + prop
         done = self.done
         gone = t + self.edge
         while done and done[0] < gone:
@@ -381,10 +394,55 @@ class SerializerHop:
             started = t
             completion = clock.start_period(t)
         done.append(completion)
-        self.engine.schedule_as_of(
-            completion, started, completion + self.prop_ns, CELL_ARRIVAL, self.sink, cell
-        )
+        landed = completion + prop
+        landing = self.landing
+        while landing and landing[0] <= now:
+            landing.popleft()
+        landing.append(landed)
+        self.cells += 1
+        reasm = self.reasm
+        discards = reasm.discards
+        seg = reasm.push(cell)
+        if reasm.discards != discards:
+            # A lone last cell whose frame lost its first cells adds two.
+            _note(self.discarded, now, landed, reasm.discards - discards)
+        if seg is not None:
+            _note(self.frames, now, landed, 1)
+            engine.schedule_as_of(completion, started, landed, CELL_ARRIVAL, self.sink, seg)
 
     def peak(self, end: int) -> int:
         """Most cells the leg held at once among arrivals up to time end."""
         return bisect_right(self.reached, end)
+
+    def in_flight(self, end: int) -> int:
+        """Cells handed to the hop that reach the host after time end."""
+        return _after(self.landing, end)
+
+    def delivered(self, end: int) -> int:
+        """Cells that reach the host by time end."""
+        return self.cells - _after(self.landing, end)
+
+    def frames_pending(self, end: int) -> int:
+        """Scheduled frame deliveries that fire after time end."""
+        return _after(self.frames, end)
+
+    def discards(self, end: int) -> int:
+        """Reassembly discards made by cells reaching the host by time end."""
+        return self.reasm.discards - _after(self.discarded, end)
+
+
+def _note(times: deque, now: int, t: int, n: int) -> None:
+    """Append n entries of time t, first dropping those at or before now."""
+    while times and times[0] <= now:
+        times.popleft()
+    times.extend([t] * n)
+
+
+def _after(times: deque, end: int) -> int:
+    """Entries of an ascending deque later than end."""
+    n = 0
+    for t in reversed(times):
+        if t <= end:
+            break
+        n += 1
+    return n

@@ -46,6 +46,10 @@ GRID = {
     "lan5-sd-k3": dict(sources=5, buffer=3, policy="selective_drop", tick_ns=MS),
     "wan5-infinite": dict(config="wan", sources=5),
     "wan15-epd": dict(config="wan", sources=15, buffer=1000, policy="epd", tick_ns=10 * MS),
+    # 193-cell frames: many frames are cut in flight on the 5 ms hops at the
+    # horizon, and under tail drop many partial frames are discarded.
+    "wan5-mss9180-infinite": dict(config="wan", sources=5, mss=9180),
+    "lan5-tail-k3000-mss9180": dict(sources=5, buffer=3000, mss=9180, tick_ns=MS),
 }
 
 # Recorded on the seed code, before the fan-out legs became serializer hops.
@@ -65,6 +69,9 @@ GOLDEN = {
     "lan5-sd-k3": "6931ad12422cd8945826b8c9fe44ae2ebf372879105eb419fc601dbb9d676cd6",
     "wan5-infinite": "6f5e615048bb9ed8e5936f8143b7325e29f46146f579238dd04418cd4af162dc",
     "wan15-epd": "e3258809992b244dd676be70e6e74179d5e39634b174ac0e8fdbcd14d3d4daf9",
+    # Recorded before host delivery became one event per frame.
+    "wan5-mss9180-infinite": "f7e621d4aff2fb87b2c28ac8d91d9c51d2056c6a2701c5dfc2c00dc6b3346234",
+    "lan5-tail-k3000-mss9180": "7d3216006884aa69221b2f664c5efde6552eb9be234ab0e3a5db7e00af15e615",
 }
 
 

@@ -24,8 +24,6 @@ from ubrsim.switches import (
     Verdict,
     epd_decide,
     fba_decide,
-    fba_threshold_identity_check,
-    load_ratio,
     selective_drop_decide,
     tail_drop_decide,
 )
@@ -51,6 +49,12 @@ def test_epd_threshold_is_strictly_greater():
 
 
 # --------------------------------------------------------------- load ratio
+
+def load_ratio(y_i: int, n_a: int, x: int) -> Fraction:
+    """Exact buffer share of one VC relative to the fair allocation x/n_a:
+    the quantity the decision functions compare in cross-multiplied form."""
+    return Fraction(y_i * n_a, x)
+
 
 def test_load_ratio_examples():
     assert load_ratio(200, 5, 1000) == 1
@@ -119,6 +123,12 @@ def test_fba_never_drops_what_selective_drop_accepts():
 
 # ------------------------------------------------------- algebraic identity
 
+def fba_threshold_identity_check(k: int, x: int, r: int) -> bool:
+    """The two spellings of the FBA cutoff agree: 1+(K-X)/(X-R) == (K-R)/(X-R)."""
+    assert r < x <= k, f"need R < X <= K, got K={k} X={x} R={r}"
+    return 1 + Fraction(k - x, x - r) == Fraction(k - r, x - r)
+
+
 def test_threshold_identity_examples():
     assert fba_threshold_identity_check(1000, 950, 900)
     assert fba_threshold_identity_check(1000, 1000, 100)
@@ -146,7 +156,7 @@ def _oracle_epd(x, k, r, first):
 def _oracle_sd(x, k, r, y, na, z, first):
     if x >= k:
         return (Verdict.DROP, DropReason.BUFFER_FULL)
-    if first and x > r and Fraction(y * na, x) > z:
+    if first and x > r and load_ratio(y, na, x) > z:
         return (Verdict.DROP, DropReason.LOAD_RATIO)
     return (Verdict.ACCEPT, DropReason.NONE)
 
@@ -154,7 +164,7 @@ def _oracle_sd(x, k, r, y, na, z, first):
 def _oracle_fba(x, k, r, y, na, z, first):
     if x >= k:
         return (Verdict.DROP, DropReason.BUFFER_FULL)
-    if first and x > r and Fraction(y * na, x) > z * Fraction(k - r, x - r):
+    if first and x > r and load_ratio(y, na, x) > z * Fraction(k - r, x - r):
         return (Verdict.DROP, DropReason.LOAD_RATIO)
     return (Verdict.ACCEPT, DropReason.NONE)
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from collections import Counter
+
+from ubrsim.engine import APP_SEND, CELL_ARRIVAL, CELL_DEPARTURE, TIMER_TICK
 from ubrsim.scenario import build_scenario
 from ubrsim.sim import Simulation, run_scenario
 
@@ -75,10 +78,27 @@ def test_cwnd_trace_collection():
         assert trace[-1][1] > 512
 
 
+def _round_traces(sim):
+    """Hook sim's cwnd recorder to log each sender's cwnd at every round
+    boundary; a round ends when the ack clock has covered one full window."""
+    rounds = [[] for _ in sim.senders]
+    targets = [0] * len(sim.senders)
+
+    def record(conn):
+        sender = sim.senders[conn]
+        if sender.snd_una >= targets[conn]:
+            rounds[conn].append(sender.cwnd)
+            targets[conn] = sender.snd_nxt
+
+    sim.record_cwnd = record
+    return rounds
+
+
 def test_round_trace_doubles_in_slow_start():
-    sim = Simulation(_tiny(buffer=None), collect_rounds=True)
+    sim = Simulation(_tiny(buffer=None), collect_cwnd=True)
+    round_traces = _round_traces(sim)
     sim.run()
-    for rounds in sim.round_traces:
+    for rounds in round_traces:
         # slow start: cwnd at consecutive round boundaries doubles (+-1 mss)
         for prev, cur in zip(rounds, rounds[1:]):
             if cur >= 65535:
@@ -117,14 +137,36 @@ def test_acks_survive_tight_reverse_buffer():
 
 
 def test_conservation_is_checked_without_audit():
-    from ubrsim.engine import APP_SEND
     from ubrsim.switches import InvariantError
 
     sim = Simulation(_tiny(buffer=None))
 
     def lose_a_delivery(_):
-        sim.cells_delivered -= 1
+        sim.b_dst_hops[0].cells -= 1
 
     sim.engine.schedule(TENTH_SECOND // 2, APP_SEND, lose_a_delivery)
     with pytest.raises(InvariantError, match="conservation"):
         sim.run()
+
+
+def test_every_event_has_one_of_four_kinds_and_dispatches_add_up():
+    # Per-kind dispatch counts are scheduled minus pending, per kind; they
+    # account for every dispatched event only if no event has another kind.
+    kinds = (CELL_ARRIVAL, CELL_DEPARTURE, TIMER_TICK, APP_SEND)
+    sim = Simulation(_tiny(buffer=60))
+    eng = sim.engine
+    scheduled = Counter()
+    schedule, run_until = eng.schedule, eng.run_until
+    returned = []
+
+    def counting_schedule(fire_time, kind, callback, payload=None):
+        scheduled[kind] += 1
+        schedule(fire_time, kind, callback, payload)
+
+    eng.schedule = counting_schedule
+    eng.run_until = lambda end: returned.append(run_until(end)) or returned[-1]
+    result = sim.run()
+    assert result.drops_total > 0 and result.reassembly_discards > 0
+    assert set(scheduled) <= set(kinds)
+    assert sum(eng.pending(k) for k in kinds) == eng.pending() > 0
+    assert returned == [sum(scheduled[k] - eng.pending(k) for k in kinds)]
