@@ -16,7 +16,7 @@ from .switches import (
 )
 from .tcp import RttEstimator, TcpReceiver, TcpSender
 from .metrics import RunResult, efficiency, fairness_index, max_possible_throughput
-from .scenario import Scenario, ScenarioError, build_scenario, parse_scenario_file, with_policy
+from .scenario import Scenario, ScenarioError, build_scenario, parse_scenario_file
 from .sim import Simulation, run_scenario
 from .sweep import ResultRow, SweepSpec, emit_results, parse_sweep_file, row_for, run_sweep
 
@@ -49,7 +49,6 @@ __all__ = [
     "ScenarioError",
     "build_scenario",
     "parse_scenario_file",
-    "with_policy",
     "Simulation",
     "run_scenario",
     "ResultRow",

@@ -10,15 +10,9 @@ import sys
 from fractions import Fraction
 
 from .engine import EngineStateError, SchedulingError
-from .scenario import Scenario, ScenarioError, build_scenario, parse_scenario_file, with_policy
+from .scenario import Scenario, ScenarioError, build_scenario, parse_scenario_file
 from .sim import Simulation, run_scenario
-from .sweep import (
-    ResultRow,
-    emit_results,
-    parse_sweep_file,
-    row_for,
-    run_sweep,
-)
+from .sweep import emit_results, parse_sweep_file, row_for, run_sweep
 from .switches import InvariantError, Policy
 from .tcp import ProtocolViolation
 
@@ -30,27 +24,24 @@ LAN_BUFFERS = (1000, 2000, 3000)
 WAN_BUFFERS = (12000, 24000, 36000)
 PAPER_R_FRACTION = Fraction(9, 10)
 PAPER_Z = Fraction(4, 5)
+PAPER_POLICIES = (  # (policy, r_fraction, z); None takes the policy's default
+    (Policy.TAIL_DROP, None, None),
+    (Policy.EPD, None, None),
+    (Policy.SELECTIVE_DROP, PAPER_R_FRACTION, PAPER_Z),
+    (Policy.FBA, PAPER_R_FRACTION, PAPER_Z),
+)
 
 
 def _comparison_grid(configs: tuple[str, ...]) -> list[Scenario]:
     """The comparative experiment grid: each class x sources x buffer x policy."""
-    scenarios = []
-    for config in configs:
-        buffers = LAN_BUFFERS if config == "lan" else WAN_BUFFERS
-        for n in (5, 15):
-            for k in buffers:
-                base = build_scenario(config=config, sources=n, buffer=k)
-                scenarios.append(base)  # plain tail drop
-                scenarios.append(with_policy(base, Policy.EPD))
-                scenarios.append(
-                    with_policy(base, Policy.SELECTIVE_DROP,
-                                r_fraction=PAPER_R_FRACTION, z=PAPER_Z)
-                )
-                scenarios.append(
-                    with_policy(base, Policy.FBA,
-                                r_fraction=PAPER_R_FRACTION, z=PAPER_Z)
-                )
-    return scenarios
+    return [
+        build_scenario(config=config, sources=n, buffer=k,
+                       policy=policy, r_fraction=r_fraction, z=z)
+        for config in configs
+        for n in (5, 15)
+        for k in (LAN_BUFFERS if config == "lan" else WAN_BUFFERS)
+        for policy, r_fraction, z in PAPER_POLICIES
+    ]
 
 
 def _zero_loss_grid(configs: tuple[str, ...]) -> list[Scenario]:
@@ -79,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute one scenario file")
+    run_p.set_defaults(cmd=_cmd_run)
     run_p.add_argument("scenario", help="scenario file (key = value text)")
     run_p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -86,18 +78,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="recheck buffer accounting after every mutation (slower)")
 
     sweep_p = sub.add_parser("sweep", help="execute the cross product of a sweep file")
+    sweep_p.set_defaults(cmd=_cmd_sweep)
     sweep_p.add_argument("sweep", help="sweep file with value lists to cross")
     sweep_p.add_argument("-o", "--output", default=None)
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep_p.add_argument("--parallel", type=int, default=1, metavar="N",
                          help="independent runs to execute concurrently")
 
-    for name, help_text in (
-        ("table1", "zero-loss grid: infinite buffers, 5/15 sources, LAN/WAN"),
-        ("table2", "comparative grid: all four policies across buffer sizes"),
-        ("table3", "same grid as table2 (read the fairness column)"),
+    for names, grid, help_text in (
+        (("table1",), _zero_loss_grid,
+         "zero-loss grid: infinite buffers, 5/15 sources, LAN/WAN"),
+        (("table2", "table3"), _comparison_grid,
+         "comparative grid: all four policies across buffer sizes; "
+         "table3 is an alias (read the fairness column)"),
     ):
-        t = sub.add_parser(name, help=help_text)
+        t = sub.add_parser(names[0], aliases=names[1:], help=help_text)
+        t.set_defaults(cmd=_cmd_grid, grid=grid)
         t.add_argument("--config", type=_configs_arg, default=("lan", "wan"),
                        help="lan, wan, or both (default both)")
         t.add_argument("-o", "--output", default=None)
@@ -105,6 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
         t.add_argument("--parallel", type=int, default=1, metavar="N")
 
     trace_p = sub.add_parser("trace", help="emit per-connection cwnd traces for one scenario")
+    trace_p.set_defaults(cmd=_cmd_trace)
     trace_p.add_argument("scenario")
     trace_p.add_argument("-o", "--output", default=None,
                          help="file prefix (one file per connection); default stdout")
@@ -126,7 +123,8 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_grid(args, scenarios) -> int:
+def _cmd_grid(args) -> int:
+    scenarios = args.grid(args.config)
     print(f"grid: {len(scenarios)} runs", file=sys.stderr)
     rows = run_sweep(scenarios, parallelism=args.parallel, report=sys.stderr)
     emit_results(rows, args.format, args.output)
@@ -154,17 +152,7 @@ def _cmd_trace(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "table1":
-            return _cmd_grid(args, _zero_loss_grid(args.config))
-        if args.command in ("table2", "table3"):
-            return _cmd_grid(args, _comparison_grid(args.config))
-        if args.command == "trace":
-            return _cmd_trace(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.cmd(args)
     except (ScenarioError, FileNotFoundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -6,7 +6,7 @@ are the only place floating point appears, at end of run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .aal5 import CELL_WIRE_BYTES, cells_for_segment
 
@@ -68,51 +68,21 @@ class RunResult:
     cells_delivered: int
     cells_dropped: int
     cells_residual: int
-    per_conn_throughput_bps: tuple[float, ...] = field(default=())
-    efficiency: float = 0.0
-    fairness: float = 0.0
-    fairness_degenerate: bool = False
+    per_conn_throughput_bps: tuple[float, ...]
+    efficiency: float
+    fairness: float
+    fairness_degenerate: bool
 
-    @staticmethod
-    def from_counters(
-        per_conn_delivered_bytes,
-        duration_s: float,
-        link_rate_bps: int,
-        mss: int,
-        max_queue_cells: int,
-        max_queue_by_port: dict[str, int],
-        drops_by_reason: dict[str, int],
-        drops_by_port: dict[str, int],
-        drops_by_vc,
-        reassembly_discards: int,
-        retransmitted_segments: int,
-        timeouts: int,
-        cells_injected: int,
-        cells_delivered: int,
-        cells_dropped: int,
-        cells_residual: int,
-    ) -> "RunResult":
-        delivered = tuple(per_conn_delivered_bytes)
-        throughputs = tuple(b * 8.0 / duration_s for b in delivered)
-        return RunResult(
-            per_conn_delivered_bytes=delivered,
-            duration_s=duration_s,
-            link_rate_bps=link_rate_bps,
-            mss=mss,
-            max_queue_cells=max_queue_cells,
-            max_queue_by_port=dict(max_queue_by_port),
-            drops_by_reason=dict(drops_by_reason),
-            drops_by_port=dict(drops_by_port),
-            drops_by_vc=tuple(drops_by_vc),
-            reassembly_discards=reassembly_discards,
-            retransmitted_segments=retransmitted_segments,
-            timeouts=timeouts,
-            cells_injected=cells_injected,
-            cells_delivered=cells_delivered,
-            cells_dropped=cells_dropped,
-            cells_residual=cells_residual,
+    @classmethod
+    def from_counters(cls, **counters) -> "RunResult":
+        """The result of a run's raw counters (every field above
+        per_conn_throughput_bps), with the derived metrics computed from them."""
+        delivered = counters["per_conn_delivered_bytes"]
+        throughputs = tuple(b * 8.0 / counters["duration_s"] for b in delivered)
+        return cls(
+            **counters,
             per_conn_throughput_bps=throughputs,
-            efficiency=efficiency(throughputs, link_rate_bps, mss),
+            efficiency=efficiency(throughputs, counters["link_rate_bps"], counters["mss"]),
             fairness=fairness_index(throughputs),
             fairness_degenerate=not any(delivered),
         )

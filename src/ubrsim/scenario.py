@@ -4,13 +4,18 @@ The topology is fixed: N source hosts feed switch A, one bottleneck link
 joins switch A to switch B, and N destination hosts hang off switch B.
 Acks ride the reverse path through the same switches. Everything else is a
 named scalar with a LAN or WAN default, overridable per scenario file.
+
+KEYS is the one vocabulary of run input: it maps each key of a scenario
+file, and each key a sweep file crosses, to its build_scenario parameter
+and value parser, and every Scenario is built and validated by
+build_scenario.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import NS_PER_MS, NS_PER_SEC, NS_PER_US
@@ -224,132 +229,108 @@ def build_scenario(
     return scenario
 
 
-_SCENARIO_KEYS = {
-    "config", "sources", "buffer", "reverse_buffer", "link_rate_bps",
-    "link_delay_us", "mss", "rcvwnd", "initial_ssthresh", "tick_ms",
-    "duration_s", "rto_initial_ticks", "rto_max_ticks",
-}
-_POLICY_KEYS = {"kind", "r_cells", "r_fraction", "z"}
-
-
-def _exact_scale(field: str, text: str, scale: int) -> int:
-    """Parse a decimal string and scale it to an exact integer."""
-    try:
-        value = Fraction(text) * scale
-    except (ValueError, ZeroDivisionError):
-        raise ScenarioError(field, f"not a number: {text!r}") from None
-    if value.denominator != 1:
-        raise ScenarioError(field, f"{text!r} is finer than the base unit")
-    return value.numerator
-
-
-def _parse_int(field: str, text: str) -> int:
+def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ScenarioError(field, f"not an integer: {text!r}") from None
+        raise ValueError(f"not an integer: {text!r}") from None
 
 
-def _parse_fraction(field: str, text: str) -> Fraction:
+def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ScenarioError(field, f"not a number: {text!r}") from None
+        raise ValueError(f"not a number: {text!r}") from None
 
 
-def _read_sections(text: str, default_section: str) -> configparser.ConfigParser:
+def _cells(text: str) -> int | None:
+    text = text.lower()
+    return None if text == "infinite" else _integer(text)
+
+
+def _scaled(unit: int):
+    """Parser of an exact decimal count of `unit`s, as an integer."""
+
+    def parse(text: str) -> int:
+        value = _fraction(text) * unit
+        if value.denominator != 1:
+            raise ValueError(f"{text!r} is finer than the base unit")
+        return value.numerator
+
+    return parse
+
+
+# The one file vocabulary: section -> key -> (build_scenario parameter,
+# value parser). Keys are read in this order, so the first bad value in
+# it is the one reported.
+KEYS = {
+    "scenario": {
+        "config": ("config", str.lower),
+        "sources": ("sources", _integer),
+        "buffer": ("buffer", _cells),
+        "reverse_buffer": ("reverse_buffer", _cells),
+        "link_rate_bps": ("link_rate_bps", _integer),
+        "link_delay_us": ("link_delay_ns", _scaled(NS_PER_US)),
+        "mss": ("mss", _integer),
+        "rcvwnd": ("rcvwnd", _integer),
+        "initial_ssthresh": ("initial_ssthresh", _integer),
+        "tick_ms": ("tick_ns", _scaled(NS_PER_MS)),
+        "duration_s": ("duration_ns", _scaled(NS_PER_SEC)),
+        "rto_initial_ticks": ("rto_initial_ticks", _integer),
+        "rto_max_ticks": ("rto_max_ticks", _integer),
+    },
+    "policy": {
+        "kind": ("policy", str.lower),
+        "r_cells": ("r_cells", _integer),
+        "r_fraction": ("r_fraction", _fraction),
+        "z": ("z", _fraction),
+    },
+}
+
+
+def parse_value(key: str, parse, text: str):
+    """One file value through its key-table parser; raises ScenarioError(key)."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ScenarioError(key, str(exc)) from None
+
+
+def read_keys(text: str, table: dict):
+    """Yield (key, (parameter, parser), raw value) for each key a key=value
+    text sets, in table order. Text before any header belongs to the table's
+    first section; an unknown section or key raises ScenarioError."""
     parser = configparser.ConfigParser(interpolation=None)
-    stripped = text.lstrip()
-    if not stripped.startswith("["):
-        text = f"[{default_section}]\n" + text
+    if not text.lstrip().startswith("["):
+        text = f"[{next(iter(table))}]\n" + text
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ScenarioError("file", f"unparseable key=value text: {exc}") from None
-    return parser
+    for section in parser.sections():
+        if section not in table:
+            raise ScenarioError("file", f"unknown section [{section}]")
+    for section, keys in table.items():
+        if not parser.has_section(section):
+            continue
+        values = dict(parser.items(section, raw=True))
+        unknown = values.keys() - keys.keys()
+        if unknown:
+            raise ScenarioError(sorted(unknown)[0], f"unknown {section} key")
+        for key, entry in keys.items():
+            if key in values:
+                yield key, entry, values[key]
 
 
 def parse_scenario_text(text: str) -> Scenario:
     """Parse the flat key=value scenario format (policy keys under [policy])."""
-    parser = _read_sections(text, "scenario")
-    params: dict = {}
-    for section in parser.sections():
-        if section not in ("scenario", "policy"):
-            raise ScenarioError("file", f"unknown section [{section}]")
-    if parser.has_section("scenario"):
-        sect = parser["scenario"]
-        unknown = set(sect) - _SCENARIO_KEYS
-        if unknown:
-            raise ScenarioError(sorted(unknown)[0], "unknown scenario key")
-        if "config" in sect:
-            params["config"] = sect["config"]
-        if "sources" in sect:
-            params["sources"] = _parse_int("sources", sect["sources"])
-        if "buffer" in sect:
-            raw = sect["buffer"].strip().lower()
-            params["buffer"] = None if raw == "infinite" else _parse_int("buffer", raw)
-        if "reverse_buffer" in sect:
-            raw = sect["reverse_buffer"].strip().lower()
-            params["reverse_buffer"] = (
-                None if raw == "infinite" else _parse_int("reverse_buffer", raw)
-            )
-        if "link_rate_bps" in sect:
-            params["link_rate_bps"] = _parse_int("link_rate_bps", sect["link_rate_bps"])
-        if "link_delay_us" in sect:
-            params["link_delay_ns"] = _exact_scale("link_delay_us", sect["link_delay_us"], NS_PER_US)
-        if "mss" in sect:
-            params["mss"] = _parse_int("mss", sect["mss"])
-        if "rcvwnd" in sect:
-            params["rcvwnd"] = _parse_int("rcvwnd", sect["rcvwnd"])
-        if "initial_ssthresh" in sect:
-            params["initial_ssthresh"] = _parse_int("initial_ssthresh", sect["initial_ssthresh"])
-        if "tick_ms" in sect:
-            params["tick_ns"] = _exact_scale("tick_ms", sect["tick_ms"], NS_PER_MS)
-        if "duration_s" in sect:
-            params["duration_ns"] = _exact_scale("duration_s", sect["duration_s"], NS_PER_SEC)
-        if "rto_initial_ticks" in sect:
-            params["rto_initial_ticks"] = _parse_int("rto_initial_ticks", sect["rto_initial_ticks"])
-        if "rto_max_ticks" in sect:
-            params["rto_max_ticks"] = _parse_int("rto_max_ticks", sect["rto_max_ticks"])
-    if parser.has_section("policy"):
-        sect = parser["policy"]
-        unknown = set(sect) - _POLICY_KEYS
-        if unknown:
-            raise ScenarioError(sorted(unknown)[0], "unknown policy key")
-        if "kind" in sect:
-            params["policy"] = sect["kind"]
-        if "r_cells" in sect:
-            params["r_cells"] = _parse_int("r_cells", sect["r_cells"])
-        if "r_fraction" in sect:
-            params["r_fraction"] = _parse_fraction("r_fraction", sect["r_fraction"])
-        if "z" in sect:
-            params["z"] = _parse_fraction("z", sect["z"])
+    params = {
+        param: parse_value(key, parse, raw)
+        for key, (param, parse), raw in read_keys(text, KEYS)
+    }
     return build_scenario(**params)
 
 
 def parse_scenario_file(path: str) -> Scenario:
     with io.open(path, "r", encoding="utf-8") as fh:
         return parse_scenario_text(fh.read())
-
-
-def with_policy(
-    scenario: Scenario,
-    policy: Policy,
-    r_cells: int | None = None,
-    r_fraction: Fraction | None = None,
-    z: Fraction | None = None,
-) -> Scenario:
-    """Same traffic configuration under a different drop policy."""
-    if policy is Policy.TAIL_DROP:
-        return replace(scenario, policy=policy, r_rule=("none",), z=None)
-    if r_cells is not None:
-        r_rule: tuple = ("cells", r_cells)
-    elif r_fraction is not None:
-        r_rule = ("fraction", r_fraction)
-    else:
-        r_rule = ("default",)
-    if policy in (Policy.SELECTIVE_DROP, Policy.FBA) and z is None:
-        z = DEFAULT_Z
-    if policy is Policy.EPD:
-        z = None
-    return replace(scenario, policy=policy, r_rule=r_rule, z=z)

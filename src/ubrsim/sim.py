@@ -198,7 +198,7 @@ class Simulation:
     def _collect(self) -> RunResult:
         scn = self.scenario
         n = scn.n_sources
-        delivered_bytes = [d.receiver.rcv_nxt for d in self.dests]
+        delivered_bytes = tuple(d.receiver.rcv_nxt for d in self.dests)
         hops = self.b_dst_hops + self.a_src_hops
         end = self.engine.now
         max_queue_by_port = {p.name: p.max_x for p in self.ports}
@@ -232,7 +232,7 @@ class Simulation:
             max_queue_by_port=max_queue_by_port,
             drops_by_reason=drops_by_reason,
             drops_by_port=drops_by_port,
-            drops_by_vc=drops_by_vc,
+            drops_by_vc=tuple(drops_by_vc),
             reassembly_discards=discards,
             retransmitted_segments=sum(s.retransmits for s in self.senders),
             timeouts=sum(s.timeouts for s in self.senders),

@@ -1,9 +1,12 @@
 """Factorial sweep execution and result serialization.
 
-A sweep crosses configuration classes, source counts, buffer sizes,
-policies, R fractions and Z cutoffs into one scenario per combination.
-Runs are isolated (separate processes when parallel) and rows always come
-back in cross-product order, so output is a pure function of the spec.
+A sweep is a list of axes, (build_scenario parameter, values) pairs, and
+one scenario per combination of their values. A sweep file's keys are read
+through the scenario key table (scenario.KEYS) and always cross in one
+order, outermost first: config, sources, buffer, policy, r_fraction, z,
+then duration_s, which takes one value. Runs are isolated (separate
+processes when parallel) and rows always come back in cross-product order,
+so output is a pure function of the spec.
 """
 
 from __future__ import annotations
@@ -12,21 +15,14 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, fields
 
 from .metrics import RunResult
-from .scenario import Scenario, ScenarioError, build_scenario, _read_sections
+from .scenario import KEYS, Scenario, ScenarioError, build_scenario, parse_value, read_keys
 from .sim import run_scenario
-from .switches import Policy
-
-CSV_HEADER = (
-    "config,n_sources,buffer_cells,policy,r_fraction,z,efficiency,fairness,"
-    "max_queue_cells,drops,reassembly_discards,retransmits"
-)
-_CSV_FIELDS = CSV_HEADER.split(",")
 
 
 @dataclass(frozen=True)
@@ -46,90 +42,67 @@ class ResultRow:
     error: str | None = None
 
 
+_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name != "error")
+CSV_HEADER = ",".join(_COLUMNS)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    configs: tuple[str, ...] = ("lan",)
-    sources: tuple[int, ...] = (5,)
-    buffers: tuple[int | None, ...] = (None,)
-    policies: tuple[str, ...] = ("tail_drop",)
-    r_fractions: tuple[Fraction | None, ...] = (None,)
-    zs: tuple[Fraction | None, ...] = (None,)
-    duration_ns: int | None = None  # scalar override, never crossed
+    axes: tuple[tuple[str, tuple], ...] = ()  # (parameter, values), outermost first
 
     def cardinality(self) -> int:
-        return (
-            len(self.configs) * len(self.sources) * len(self.buffers)
-            * len(self.policies) * len(self.r_fractions) * len(self.zs)
-        )
+        return math.prod(len(values) for _, values in self.axes)
 
     def _combinations(self):
-        """Cross-product tuples in listed order (outermost key first)."""
-        return itertools.product(
-            self.configs, self.sources, self.buffers, self.policies, self.r_fractions, self.zs
-        )
-
-    def _build(self, config, n, buf, policy, rf, z) -> Scenario:
-        return build_scenario(
-            config=config,
-            sources=n,
-            buffer=buf,
-            policy=policy,
-            r_fraction=rf,
-            z=z,
-            duration_ns=self.duration_ns,
-        )
+        """build_scenario keyword arguments of each point, in cross-product order."""
+        names = [name for name, _ in self.axes]
+        for combo in itertools.product(*(values for _, values in self.axes)):
+            yield dict(zip(names, combo))
 
     def scenarios(self) -> list[Scenario]:
         """Expand the cross product; an invalid combination raises ScenarioError."""
-        return [self._build(*combo) for combo in self._combinations()]
+        return [build_scenario(**point) for point in self._combinations()]
 
     def points(self) -> list:
         """The cross product as run_sweep takes it: the Scenario of each valid
         combination and, in place of each invalid one, the error row that
         reports it, so one bad combination does not sink the sweep."""
         out: list = []
-        for combo in self._combinations():
+        for point in self._combinations():
             try:
-                out.append(self._build(*combo))
+                out.append(build_scenario(**point))
             except ScenarioError as exc:
-                out.append(_error_row(*combo, exc))
+                out.append(_error_row(exc, **point))
         return out
 
 
-def _parse_list(section, key: str, convert):
-    return tuple(convert(item.strip()) for item in section[key].split(",") if item.strip())
+# The sweep keys in crossing order, outermost first, with their key-table
+# entries; a sweep's policy is a scenario file's [policy] kind.
+_SWEEP_KEYS = {
+    "sweep": {
+        "config": KEYS["scenario"]["config"],
+        "sources": KEYS["scenario"]["sources"],
+        "buffer": KEYS["scenario"]["buffer"],
+        "policy": KEYS["policy"]["kind"],
+        "r_fraction": KEYS["policy"]["r_fraction"],
+        "z": KEYS["policy"]["z"],
+        "duration_s": KEYS["scenario"]["duration_s"],
+    }
+}
 
 
 def parse_sweep_text(text: str) -> SweepSpec:
-    parser = _read_sections(text, "sweep")
-    if not parser.has_section("sweep"):
-        raise ScenarioError("file", "sweep file needs a [sweep] section")
-    sect = parser["sweep"]
-    known = {"config", "sources", "buffer", "policy", "r_fraction", "z", "duration_s"}
-    unknown = set(sect) - known
-    if unknown:
-        raise ScenarioError(sorted(unknown)[0], "unknown sweep key")
-    kwargs: dict = {}
-    if "duration_s" in sect:
-        duration = Fraction(sect["duration_s"]) * 10**9
-        if duration.denominator != 1:
-            raise ScenarioError("duration_s", "finer than one nanosecond")
-        kwargs["duration_ns"] = duration.numerator
-    if "config" in sect:
-        kwargs["configs"] = _parse_list(sect, "config", str.lower)
-    if "sources" in sect:
-        kwargs["sources"] = _parse_list(sect, "sources", int)
-    if "buffer" in sect:
-        kwargs["buffers"] = _parse_list(
-            sect, "buffer", lambda s: None if s.lower() == "infinite" else int(s)
+    axes = []
+    for key, (param, parse), raw in read_keys(text, _SWEEP_KEYS):
+        values = tuple(
+            parse_value(key, parse, item.strip()) for item in raw.split(",") if item.strip()
         )
-    if "policy" in sect:
-        kwargs["policies"] = _parse_list(sect, "policy", str.lower)
-    if "r_fraction" in sect:
-        kwargs["r_fractions"] = _parse_list(sect, "r_fraction", Fraction)
-    if "z" in sect:
-        kwargs["zs"] = _parse_list(sect, "z", Fraction)
-    return SweepSpec(**kwargs)
+        if not values:
+            raise ScenarioError(key, f"no values in {raw!r}")
+        if key == "duration_s" and len(values) > 1:
+            raise ScenarioError(key, "takes one value: rows do not record the duration")
+        axes.append((param, values))
+    return SweepSpec(tuple(axes))
 
 
 def parse_sweep_file(path: str) -> SweepSpec:
@@ -155,12 +128,14 @@ def row_for(scenario: Scenario, result: RunResult) -> ResultRow:
     )
 
 
-def _error_row(config, n_sources, buffer_cells, policy, r_fraction, z, exc) -> ResultRow:
-    """A row that keeps a point's configuration and reports why it has no result."""
+def _error_row(exc, config="lan", sources=5, buffer=None, policy="tail_drop",
+               r_fraction=None, z=None, **_) -> ResultRow:
+    """A row that keeps a point's configuration and reports why it has no
+    result; a parameter the point leaves out takes build_scenario's default."""
     return ResultRow(
         config=config,
-        n_sources=n_sources,
-        buffer_cells=buffer_cells,
+        n_sources=sources,
+        buffer_cells=buffer,
         policy=policy,
         r_fraction=None if r_fraction is None else float(r_fraction),
         z=None if z is None else float(z),
@@ -173,8 +148,8 @@ def _run_one(scenario: Scenario) -> ResultRow:
         return row_for(scenario, run_scenario(scenario))
     except Exception as exc:  # a failed run must not sink the sweep
         return _error_row(
-            scenario.config_class, scenario.n_sources, scenario.buffer_cells,
-            scenario.policy.name.lower(), scenario.r_fraction, scenario.z, exc,
+            exc, scenario.config_class, scenario.n_sources, scenario.buffer_cells,
+            scenario.policy.name.lower(), scenario.r_fraction, scenario.z,
         )
 
 
@@ -201,6 +176,14 @@ def run_sweep(
     return rows
 
 
+def _column_values(row: ResultRow):
+    """The row's output columns in CSV_HEADER order; each format renders
+    floats to 4 decimals and None as empty."""
+    for name in _COLUMNS:
+        value = getattr(row, name)
+        yield "infinite" if name == "buffer_cells" and value is None else value
+
+
 def _fmt_csv(value) -> str:
     if value is None:
         return ""
@@ -209,41 +192,10 @@ def _fmt_csv(value) -> str:
     return str(value)
 
 
-def _row_cells(row: ResultRow) -> list[str]:
-    buffer_text = "infinite" if row.buffer_cells is None else str(row.buffer_cells)
-    return [
-        row.config,
-        str(row.n_sources),
-        buffer_text,
-        row.policy,
-        _fmt_csv(row.r_fraction),
-        _fmt_csv(row.z),
-        _fmt_csv(row.efficiency),
-        _fmt_csv(row.fairness),
-        _fmt_csv(row.max_queue_cells),
-        _fmt_csv(row.drops),
-        _fmt_csv(row.reassembly_discards),
-        _fmt_csv(row.retransmits),
-    ]
-
-
 def _row_object(row: ResultRow) -> dict:
-    def f4(v):
-        return None if v is None else round(v, 4)
-
     obj = {
-        "config": row.config,
-        "n_sources": row.n_sources,
-        "buffer_cells": "infinite" if row.buffer_cells is None else row.buffer_cells,
-        "policy": row.policy,
-        "r_fraction": f4(row.r_fraction),
-        "z": f4(row.z),
-        "efficiency": f4(row.efficiency),
-        "fairness": f4(row.fairness),
-        "max_queue_cells": row.max_queue_cells,
-        "drops": row.drops,
-        "reassembly_discards": row.reassembly_discards,
-        "retransmits": row.retransmits,
+        name: round(value, 4) if isinstance(value, float) else value
+        for name, value in zip(_COLUMNS, _column_values(row))
     }
     if row.error is not None:
         obj["error"] = row.error
@@ -253,9 +205,9 @@ def _row_object(row: ResultRow) -> dict:
 def results_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
+    writer.writerow(_COLUMNS)
     for row in rows:
-        writer.writerow(_row_cells(row))
+        writer.writerow(map(_fmt_csv, _column_values(row)))
     return buf.getvalue()
 
 

@@ -11,7 +11,6 @@ from ubrsim.scenario import (
     ScenarioError,
     build_scenario,
     parse_scenario_text,
-    with_policy,
 )
 from ubrsim.switches import Policy
 
@@ -151,17 +150,6 @@ def test_parse_rejects_sub_nanosecond_delay():
 def test_parse_rejects_unknown_section():
     with pytest.raises(ScenarioError):
         parse_scenario_text("[topology]\nnodes = 9\n")
-
-
-def test_with_policy_swaps_only_the_policy():
-    base = build_scenario(config="lan", sources=5, buffer=1000)
-    epd = with_policy(base, Policy.EPD)
-    assert epd.r_cells == 800 and epd.z is None
-    fba = with_policy(base, Policy.FBA, r_fraction=Fraction(9, 10), z=Fraction(4, 5))
-    assert fba.r_cells == 900 and fba.z == Fraction(4, 5)
-    assert fba.n_sources == 5 and fba.buffer_cells == 1000
-    back = with_policy(fba, Policy.TAIL_DROP)
-    assert back.policy is Policy.TAIL_DROP and back.r_cells is None
 
 
 def test_scenarios_are_hashable_and_picklable():

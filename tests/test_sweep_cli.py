@@ -6,11 +6,15 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ubrsim.scenario import ScenarioError, build_scenario
+from ubrsim.cli import _build_parser, _comparison_grid, _zero_loss_grid
+from ubrsim.scenario import ScenarioError, build_scenario, parse_scenario_text
 from ubrsim.sim import run_scenario
 from ubrsim.sweep import (
     CSV_HEADER,
@@ -23,19 +27,20 @@ from ubrsim.sweep import (
     row_for,
     run_sweep,
 )
+from ubrsim.switches import Policy
 
 TINY = dict(config="lan", sources=2, duration_ns=40_000_000)
 
 
 def test_sweep_cardinality_matches_cross_product():
-    spec = SweepSpec(
-        configs=("lan",),
-        sources=(5, 15),
-        buffers=(1000, 2000, 3000),
-        policies=("fba",),
-        r_fractions=(Fraction(9, 10), Fraction(1, 2), Fraction(1, 10)),
-        zs=(Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)),
-    )
+    spec = SweepSpec((
+        ("config", ("lan",)),
+        ("sources", (5, 15)),
+        ("buffer", (1000, 2000, 3000)),
+        ("policy", ("fba",)),
+        ("r_fraction", (Fraction(9, 10), Fraction(1, 2), Fraction(1, 10))),
+        ("z", (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))),
+    ))
     assert spec.cardinality() == 54
     scenarios = spec.scenarios()
     assert len(scenarios) == 54
@@ -53,10 +58,15 @@ def test_parse_sweep_text():
         policy = ubr, epd
         """
     )
-    assert spec.configs == ("lan", "wan")
-    assert spec.buffers == (1000, None)
-    assert spec.policies == ("ubr", "epd")
+    axes = dict(spec.axes)
+    assert axes["config"] == ("lan", "wan")
+    assert axes["buffer"] == (1000, None)
+    assert axes["policy"] == ("ubr", "epd")
     assert spec.cardinality() == 16
+    # Axes cross in one fixed order, whatever order the file lists them in.
+    assert [name for name, _ in spec.axes] == ["config", "sources", "buffer", "policy"]
+    assert parse_sweep_text("policy = ubr, epd\nbuffer = 1000, infinite\n"
+                            "sources = 5, 15\nconfig = lan, wan\n") == spec
 
 
 def test_singleton_sweep_equals_run_scenario():
@@ -197,8 +207,39 @@ def test_cli_sweep_runs_and_reports_cardinality(tmp_path):
 
 def test_sweep_duration_override_parses():
     spec = parse_sweep_text("[sweep]\nconfig = lan\nsources = 2\nduration_s = 0.25\n")
-    assert spec.duration_ns == 250_000_000
+    assert dict(spec.axes)["duration_ns"] == (250_000_000,)
     assert spec.scenarios()[0].duration_ns == 250_000_000
+
+
+@pytest.mark.parametrize("text, field", [
+    ("z = 1/0", "z"),
+    ("sources = x", "sources"),
+    ("buffer = big", "buffer"),
+    ("sources = ,", "sources"),
+    ("duration_s = 0.5, 1", "duration_s"),
+])
+def test_bad_sweep_value_names_its_key(text, field):
+    with pytest.raises(ScenarioError) as err:
+        parse_sweep_text(f"[sweep]\n{text}\n")
+    assert err.value.field == field
+
+
+def test_sweep_file_rejects_other_sections():
+    with pytest.raises(ScenarioError) as err:
+        parse_sweep_text("[sweep]\nbuffer = 1000\n\n[policy]\nkind = epd\n")
+    assert err.value.field == "file"
+    assert "[policy]" in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["z = 1/0", "sources = x", "buffer = big", "sources = ,"])
+def test_cli_sweep_bad_value_exits_1_naming_the_key(tmp_path, text):
+    sweep = tmp_path / "bad.sweep"
+    sweep.write_text(f"[sweep]\n{text}\n")
+    proc = _cli("sweep", str(sweep))
+    assert proc.returncode == 1
+    key = text.split()[0]
+    assert proc.stderr.startswith(f"error: {key}: "), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_trace_emits_time_cwnd_lines(tmp_path):
@@ -215,8 +256,12 @@ def test_cli_trace_emits_time_cwnd_lines(tmp_path):
 
 
 def test_invalid_sweep_point_becomes_one_error_row():
-    spec = SweepSpec(sources=(2,), buffers=(None, 500), policies=("tail_drop", "epd"),
-                     duration_ns=20_000_000)
+    spec = SweepSpec((
+        ("sources", (2,)),
+        ("buffer", (None, 500)),
+        ("policy", ("tail_drop", "epd")),
+        ("duration_ns", (20_000_000,)),
+    ))
     with pytest.raises(ScenarioError):
         spec.scenarios()
     rows = run_sweep(spec.points())
@@ -226,6 +271,17 @@ def test_invalid_sweep_point_becomes_one_error_row():
     assert [r.error is None for r in rows] == [True, False, True, True]
     assert rows[1].error == "ScenarioError: buffer: policy EPD requires a finite buffer"
     assert rows[1].efficiency is None
+
+
+@pytest.mark.parametrize("text, row", [
+    ("sources = 0", ("lan", 0, None, "tail_drop", None, None)),
+    ("config = WAN\npolicy = EPD\nz = 1/2", ("wan", 5, None, "epd", None, 0.5)),
+])
+def test_error_row_shows_defaults_and_lower_case_names(text, row):
+    [error_row] = parse_sweep_text(text).points()
+    assert error_row.error is not None
+    assert (error_row.config, error_row.n_sources, error_row.buffer_cells,
+            error_row.policy, error_row.r_fraction, error_row.z) == row
 
 
 def test_cli_sweep_with_invalid_point_emits_every_row(tmp_path):
@@ -241,3 +297,90 @@ def test_cli_sweep_with_invalid_point_emits_every_row(tmp_path):
         ("infinite", "tail_drop"), ("infinite", "epd"), (500, "tail_drop"), (500, "epd"),
     ]
     assert [("error" in d) for d in data] == [False, True, False, False]
+
+
+# ------------------------------------------------------------ grids and files
+
+def test_builtin_grids_are_pinned():
+    zero = _zero_loss_grid(("lan", "wan"))
+    assert [(s.config_class, s.n_sources, s.buffer_cells, s.policy, s.r_cells, s.z)
+            for s in zero] == [
+        (config, n, None, Policy.TAIL_DROP, None, None)
+        for config in ("lan", "wan") for n in (5, 15)
+    ]
+    expected = []
+    for config, buffers in (("lan", (1000, 2000, 3000)), ("wan", (12000, 24000, 36000))):
+        for n in (5, 15):
+            for k in buffers:
+                expected += [
+                    (config, n, k, Policy.TAIL_DROP, None, None),
+                    (config, n, k, Policy.EPD, k - 200, None),
+                    (config, n, k, Policy.SELECTIVE_DROP, 9 * k // 10, Fraction(4, 5)),
+                    (config, n, k, Policy.FBA, 9 * k // 10, Fraction(4, 5)),
+                ]
+    grid = _comparison_grid(("lan", "wan"))
+    assert [(s.config_class, s.n_sources, s.buffer_cells, s.policy, s.r_cells, s.z)
+            for s in grid] == expected
+    # Apart from the policy, every point is its class default with the
+    # reverse buffer mirroring the forward one.
+    for s in zero + grid:
+        plain = build_scenario(config=s.config_class, sources=s.n_sources, buffer=s.buffer_cells)
+        assert replace(s, policy=Policy.TAIL_DROP, r_rule=("none",), z=None) == plain
+        assert s.policy_config(s.reverse_buffer_cells) == s.policy_config(s.buffer_cells)
+
+
+def test_table3_is_an_alias_of_table2():
+    parser = _build_parser()
+    assert parser.parse_args(["table1"]).grid is _zero_loss_grid
+    assert parser.parse_args(["table2"]).grid is _comparison_grid
+    assert parser.parse_args(["table3"]).grid is _comparison_grid
+
+
+def _decimal(ns: int) -> str:
+    return f"{ns // 10**9}.{ns % 10**9:09d}"
+
+
+_SWEEP_VALUES = {
+    "config": st.sampled_from(["lan", "wan", "WAN"]),
+    "sources": st.integers(1, 20).map(str),
+    "buffer": st.one_of(st.integers(1, 5000).map(str), st.just("infinite")),
+    "policy": st.sampled_from(["ubr", "tail_drop", "epd", "sd", "selective_drop", "fba", "FBA"]),
+    "r_fraction": st.one_of(st.integers(1, 99).map(lambda p: f"0.{p:02d}"),
+                            st.fractions(0, 1).map(str)),
+    "z": st.fractions(Fraction(-1, 2), 3).map(str),
+    "duration_s": st.integers(1, 30 * 10**9).map(_decimal),
+}
+
+
+# Half the files set a finite buffer and a frame-aware policy, which the
+# optional keys alone rarely combine.
+_SWEEP_FILES = st.one_of(
+    st.fixed_dictionaries({}, optional=_SWEEP_VALUES),
+    st.fixed_dictionaries(
+        {"buffer": st.integers(201, 5000).map(str),
+         "policy": st.sampled_from(["epd", "sd", "fba"])},
+        optional={k: v for k, v in _SWEEP_VALUES.items() if k not in ("buffer", "policy")},
+    ),
+)
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except ScenarioError as exc:
+        return None, exc.field
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SWEEP_FILES)
+def test_one_value_sweep_builds_the_scenario_file_scenario(values):
+    sweep = "[sweep]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+    policy_keys = {"policy": "kind", "r_fraction": "r_fraction", "z": "z"}
+    scenario = "[scenario]\n" + "".join(
+        f"{k} = {v}\n" for k, v in values.items() if k not in policy_keys
+    ) + "[policy]\n" + "".join(
+        f"{policy_keys[k]} = {v}\n" for k, v in values.items() if k in policy_keys
+    )
+    from_sweep = _outcome(lambda: parse_sweep_text(sweep).scenarios())
+    from_file = _outcome(lambda: [parse_scenario_text(scenario)])
+    assert from_sweep == from_file
