@@ -3,7 +3,8 @@
 Each segment carries 56 bytes of layered overhead (20 TCP + 20 IP + 8 LLC +
 8 AAL5 trailer) and pads into 48-byte cell payloads, so a 512-byte data
 segment occupies exactly 12 cells of 53 wire bytes each and a bare ack
-occupies 2. Links never drop cells; only switch ports do.
+occupies 2. A cell is a reference to its Frame, not an object of its own.
+Links never drop cells; only switch ports do.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from .engine import CELL_ARRIVAL, NS_PER_SEC
 CELL_WIRE_BYTES = 53
 CELL_PAYLOAD_BYTES = 48
 FRAME_OVERHEAD_BYTES = 56  # 20 TCP + 20 IP + 8 LLC + 8 AAL5 trailer
-
-# Cells are plain tuples because a run creates millions of them.
-# Layout: (vc_id, packet_id, index_in_packet, is_last, segment)
-CELL_VC, CELL_PID, CELL_INDEX, CELL_LAST, CELL_SEG = range(5)
 
 
 @dataclass(frozen=True)
@@ -42,12 +39,32 @@ def cells_for_segment(payload_len: int) -> int:
     return (total + CELL_PAYLOAD_BYTES - 1) // CELL_PAYLOAD_BYTES
 
 
-def segment_to_cells(segment: Segment, packet_id: int) -> list[tuple]:
-    """Frame a segment into its ordered cell train (last cell marked)."""
+class Frame:
+    """One AAL5 frame in flight: its VC, its Segment, the index of its last
+    cell, and how many of its cells have reached the switch port.
+
+    A run moves millions of cells, so a cell is not an object of its own:
+    it is a reference to its frame, and its index in the train is implied
+    by its position. A frame crosses exactly one switch port over lossless
+    FIFO links, so the port numbers the cells as they arrive (arrived is
+    the index of the next one) and queues each as the pair frame, index.
+    Frames compare by identity: two segments never share a frame.
+    """
+
+    __slots__ = ("vc", "seg", "last", "arrived")
+
+    def __init__(self, seg: Segment, n_cells: int) -> None:
+        self.vc = seg.conn_id
+        self.seg = seg
+        self.last = n_cells - 1
+        self.arrived = 0
+
+
+def segment_to_cells(segment: Segment) -> list[Frame]:
+    """Frame a segment into its ordered cell train: one reference to a new
+    Frame per cell."""
     n = cells_for_segment(segment.payload_len)
-    vc = segment.conn_id
-    last = n - 1
-    return [(vc, packet_id, i, i == last, segment) for i in range(n)]
+    return [Frame(segment, n)] * n
 
 
 class Reassembler:
@@ -56,32 +73,31 @@ class Reassembler:
     A train completes when its end-of-packet cell arrives with every earlier
     index present; cells are never duplicated in transit, so a simple count
     against the last cell's index suffices. Partial trains (either abandoned
-    by a newer packet or truncated at the marker) count as discards.
+    by a newer frame or truncated at the marker) count as discards.
     """
 
-    __slots__ = ("pid", "count", "discards")
+    __slots__ = ("frame", "count", "discards")
 
     def __init__(self) -> None:
-        self.pid: int | None = None
+        self.frame: Frame | None = None
         self.count = 0
         self.discards = 0
 
-    def push(self, cell: tuple) -> Segment | None:
-        """Feed one cell; returns the completed Segment or None."""
-        pid = cell[CELL_PID]
-        if pid != self.pid:
-            if self.pid is not None and self.count:
+    def push(self, frame: Frame, idx: int) -> Segment | None:
+        """Feed cell idx of frame; returns the completed Segment or None."""
+        if frame is not self.frame:
+            if self.frame is not None and self.count:
                 self.discards += 1
-            self.pid = pid
+            self.frame = frame
             self.count = 0
         self.count += 1
-        if cell[CELL_LAST]:
-            complete = self.count == cell[CELL_INDEX] + 1
+        if idx == frame.last:
+            complete = self.count == idx + 1
             if not complete:
                 self.discards += 1
-            self.pid = None
+            self.frame = None
             self.count = 0
-            return cell[CELL_SEG] if complete else None
+            return frame.seg if complete else None
         return None
 
 
@@ -160,9 +176,11 @@ class CellLink:
         self.prop_ns = prop_ns
         self.sink = sink
 
-    def send_cells(self, cells: list[tuple], now: int) -> None:
+    def send_cells(self, cells: list[Frame], now: int) -> None:
+        """Clock out cells, each a reference to its Frame, from now on; each
+        reaches sink(frame) at the far end."""
         schedule = self.engine.schedule
         prop = self.prop_ns
         sink = self.sink
-        for cell, done in zip(cells, self.clock.completions(now, len(cells))):
-            schedule(done + prop, CELL_ARRIVAL, sink, cell)
+        for frame, done in zip(cells, self.clock.completions(now, len(cells))):
+            schedule(done + prop, CELL_ARRIVAL, sink, frame)

@@ -117,7 +117,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = parse_sweep_file(args.sweep)
-    print(f"sweep: cross product of {spec.cardinality()} runs", file=sys.stderr)
+    print(f"sweep: cross product of {spec.cardinality()} points", file=sys.stderr)
     rows = run_sweep(spec.points(), parallelism=args.parallel, report=sys.stderr)
     emit_results(rows, args.format, args.output)
     return EXIT_OK

@@ -16,8 +16,9 @@ NS_PER_US = 1_000
 
 # Event kind tags. The engine ignores them; diagnostics and end-of-run
 # audits use them to classify queued events. A CELL_ARRIVAL entry's payload
-# is one in-flight cell or, when a serializer hop delivers to a host, the
-# Segment of a whole reassembled frame.
+# is the aal5.Frame of one in-flight cell (the cell is a reference to its
+# frame) or, when a serializer hop delivers to a host, the Segment of a whole
+# reassembled frame.
 CELL_ARRIVAL = 1
 CELL_DEPARTURE = 2
 TIMER_TICK = 3

@@ -18,6 +18,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .aal5 import CELL_WIRE_BYTES, cells_for_segment
 from .engine import NS_PER_MS, NS_PER_SEC, NS_PER_US
 from .switches import Policy, PolicyConfig
 
@@ -162,8 +163,17 @@ def build_scenario(
         raise ScenarioError("link_rate_bps", f"must be positive, got {link_rate_bps}")
     if link_delay_ns < 0:
         raise ScenarioError("link_delay_ns", f"must be non-negative, got {link_delay_ns}")
-    if tick_ns < 1:
-        raise ScenarioError("tick_ns", f"must be positive, got {tick_ns}")
+    # A timer that fires faster than a source can put one segment on the
+    # wire lets timeouts refill the links faster than line rate. The frame
+    # time, frame_cells * 53 * 8 bits at link_rate_bps, is cross-multiplied.
+    frame_cells = cells_for_segment(mss)
+    frame_bit_ns = frame_cells * CELL_WIRE_BYTES * 8 * NS_PER_SEC
+    if tick_ns * link_rate_bps < frame_bit_ns:
+        raise ScenarioError(
+            "tick_ns",
+            f"tick of {tick_ns} ns is shorter than one {mss}-byte segment's "
+            f"{frame_cells} cells on the wire ({-(-frame_bit_ns // link_rate_bps)} ns)",
+        )
     if duration_ns < 1:
         raise ScenarioError("duration_ns", f"must be positive, got {duration_ns}")
     if rto_initial_ticks < 1 or rto_max_ticks < rto_initial_ticks:

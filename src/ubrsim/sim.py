@@ -107,7 +107,6 @@ class Simulation:
         rev_cfg = scenario.policy_config(rev_cap)
 
         self.cells_injected = 0
-        self._packet_seq = 0
 
         self.senders = [
             TcpSender(
@@ -154,11 +153,8 @@ class Simulation:
 
     def emit_segments(self, segments, link: CellLink) -> None:
         cells = []
-        pid = self._packet_seq
         for seg in segments:
-            cells.extend(segment_to_cells(seg, pid))
-            pid += 1
-        self._packet_seq = pid
+            cells.extend(segment_to_cells(seg))
         self.cells_injected += len(cells)
         link.send_cells(cells, self.engine.now)
 

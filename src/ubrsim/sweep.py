@@ -5,8 +5,9 @@ one scenario per combination of their values. A sweep file's keys are read
 through the scenario key table (scenario.KEYS) and always cross in one
 order, outermost first: config, sources, buffer, policy, r_fraction, z,
 then duration_s, which takes one value. Runs are isolated (separate
-processes when parallel) and rows always come back in cross-product order,
-so output is a pure function of the spec.
+processes when parallel), a Scenario that several points share runs once,
+and rows always come back in cross-product order, so output is a pure
+function of the spec.
 """
 
 from __future__ import annotations
@@ -156,19 +157,22 @@ def _run_one(scenario: Scenario) -> ResultRow:
 def run_sweep(
     points, parallelism: int = 1, report=None
 ) -> list[ResultRow]:
-    """Run scenarios in order; rows come back in input order regardless of
-    parallel completion order. A ResultRow among the points (an invalid
-    combination's error row, see SweepSpec.points) is passed through."""
+    """Run each distinct scenario once; rows come back one per point, in
+    input order, regardless of parallel completion order, and points that
+    are the same Scenario share one row. A ResultRow among the points (an
+    invalid combination's error row, see SweepSpec.points) is passed
+    through. In parallel, the longest runs are submitted first."""
     points = list(points)
-    scenarios = [p for p in points if isinstance(p, Scenario)]
+    distinct = list(dict.fromkeys(p for p in points if isinstance(p, Scenario)))
     if report is not None:
-        print(f"sweep: {len(scenarios)} runs, parallelism {parallelism}", file=report)
-    if parallelism <= 1 or len(scenarios) <= 1:
-        ran = map(_run_one, scenarios)
+        print(f"sweep: {len(distinct)} runs, parallelism {parallelism}", file=report)
+    if parallelism <= 1 or len(distinct) <= 1:
+        ran = {scenario: _run_one(scenario) for scenario in distinct}
     else:
+        distinct.sort(key=lambda scenario: scenario.duration_ns, reverse=True)
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            ran = iter(list(pool.map(_run_one, scenarios, chunksize=1)))
-    rows = [next(ran) if isinstance(p, Scenario) else p for p in points]
+            ran = dict(zip(distinct, pool.map(_run_one, distinct, chunksize=1)))
+    rows = [ran[p] if isinstance(p, Scenario) else p for p in points]
     for row in rows:
         if row.error is not None and report is not None:
             print(f"sweep: run failed ({row.config}/{row.n_sources}/"

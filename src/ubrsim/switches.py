@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .engine import CELL_ARRIVAL, CELL_DEPARTURE
-from .aal5 import CellClock, Reassembler
+from .aal5 import CellClock, Frame, Reassembler
 
 
 class Policy(IntEnum):
@@ -133,8 +133,13 @@ class OutputPort:
     so the per-cell cost stays O(1). The optional audit mode recomputes the
     accounting identities after every mutation.
 
+    A cell arrives as a reference to its Frame (see aal5.Frame). The port
+    numbers a frame's cells from the frame's arrival counter, and queues
+    each accepted cell as two entries, the frame and its index, so queueing
+    a cell allocates nothing.
+
     Next-hop contract: next_hop holds one callable per VC. When a cell
-    finishes transmission, the port calls next_hop[vc](cell) at that
+    finishes transmission, the port calls next_hop[vc](frame, idx) at that
     instant, before it starts serving the next cell. The port itself has no
     propagation delay; the next hop owns the link that leaves the port and
     schedules whatever the cell does next.
@@ -165,11 +170,11 @@ class OutputPort:
             self.z_den = cfg.z.denominator
         else:
             self.z_num = self.z_den = 1
-        self.queue: deque = deque()
+        self.queue: deque = deque()  # frame, idx, frame, idx, ...
         self.x = 0
         self.y = [0] * n_vcs
         self.na = 0
-        self.discard_pid: list[int | None] = [None] * n_vcs
+        self.discarding: list[Frame | None] = [None] * n_vcs
         self.clock = CellClock(rate_bps)
         self.next_hop = list(next_hop)
         self.busy = False
@@ -189,35 +194,39 @@ class OutputPort:
             self._decide = self._decide_fba
 
     # Decision wrappers bind the port state to the pure policy functions.
-    def _decide_tail(self, cell) -> DropDecision:
+    def _decide_tail(self, vc: int, first: bool) -> DropDecision:
         cap = self.capacity
         if cap is None:
             return ACCEPT
         return tail_drop_decide(self.x, cap)
 
-    def _decide_epd(self, cell) -> DropDecision:
-        return epd_decide(self.x, self.capacity, self.r, cell[2] == 0)
+    def _decide_epd(self, vc: int, first: bool) -> DropDecision:
+        return epd_decide(self.x, self.capacity, self.r, first)
 
-    def _decide_sd(self, cell) -> DropDecision:
+    def _decide_sd(self, vc: int, first: bool) -> DropDecision:
         return selective_drop_decide(
-            self.x, self.capacity, self.r, self.y[cell[0]], self.na,
-            self.z_num, self.z_den, cell[2] == 0,
+            self.x, self.capacity, self.r, self.y[vc], self.na,
+            self.z_num, self.z_den, first,
         )
 
-    def _decide_fba(self, cell) -> DropDecision:
+    def _decide_fba(self, vc: int, first: bool) -> DropDecision:
         return fba_decide(
-            self.x, self.capacity, self.r, self.y[cell[0]], self.na,
-            self.z_num, self.z_den, cell[2] == 0,
+            self.x, self.capacity, self.r, self.y[vc], self.na,
+            self.z_num, self.z_den, first,
         )
 
-    def on_cell_arrival(self, cell) -> DropDecision:
-        vc = cell[0]
-        if self.frame_aware and self.discard_pid[vc] == cell[1]:
+    def on_cell_arrival(self, frame: Frame) -> DropDecision:
+        idx = frame.arrived
+        frame.arrived = idx + 1
+        vc = frame.vc
+        if self.frame_aware and self.discarding[vc] is frame:
             decision = DROP_CONTINUED
         else:
-            decision = self._decide(cell)
+            decision = self._decide(vc, idx == 0)
         if decision is ACCEPT:
-            self.queue.append(cell)
+            queue = self.queue
+            queue.append(frame)
+            queue.append(idx)
             x = self.x + 1
             self.x = x
             if x > self.max_x:
@@ -226,8 +235,8 @@ class OutputPort:
             self.y[vc] = yv
             if yv == 1:
                 self.na += 1
-            if cell[3] and self.frame_aware:
-                self.discard_pid[vc] = None
+            if idx == frame.last and self.frame_aware:
+                self.discarding[vc] = None
             if not self.busy:
                 self.busy = True
                 engine = self.engine
@@ -239,24 +248,31 @@ class OutputPort:
             self.drops_by_reason[decision[1]] += 1
             self.drops_by_vc[vc] += 1
             if self.frame_aware:
-                # Poison the rest of this packet; the end-of-packet cell
+                # Poison the rest of this frame; the end-of-frame cell
                 # (accepted or dropped) re-arms the VC for the next one.
-                self.discard_pid[vc] = None if cell[3] else cell[1]
+                self.discarding[vc] = None if idx == frame.last else frame
         if self.audit:
+            if idx > frame.last:
+                raise InvariantError(
+                    f"{self.name}: cell {idx} of a {frame.last + 1}-cell frame arrived; "
+                    f"a frame must cross one port only once"
+                )
             self._audit_check()
         return decision
 
     def _on_service_done(self, _arg) -> None:
-        cell = self.queue.popleft()
+        queue = self.queue
+        frame = queue.popleft()
+        idx = queue.popleft()
         x = self.x - 1
         self.x = x
-        vc = cell[0]
+        vc = frame.vc
         yv = self.y[vc] - 1
         self.y[vc] = yv
         if not yv:
             self.na -= 1
         self.cells_out += 1
-        self.next_hop[vc](cell)
+        self.next_hop[vc](frame, idx)
         if x:
             self.engine.schedule(
                 self.clock.continue_period(), CELL_DEPARTURE,
@@ -269,8 +285,10 @@ class OutputPort:
 
     def _audit_check(self) -> None:
         x = self.x
-        if x != len(self.queue):
-            raise InvariantError(f"{self.name}: X={x} but queue holds {len(self.queue)}")
+        if 2 * x != len(self.queue):
+            raise InvariantError(
+                f"{self.name}: X={x} but queue holds {len(self.queue)} entries, not {2 * x}"
+            )
         if sum(self.y) != x:
             raise InvariantError(f"{self.name}: sum(Y_i)={sum(self.y)} != X={x}")
         active = len(self.y) - self.y.count(0)
@@ -291,11 +309,11 @@ class SerializerHop:
     this VC uses, a second link of delay prop_ns out to a host, and the
     host's reassembly of the cells into frames. Fed at line rate by one
     same-rate upstream port, such a port never holds more than two cells and
-    never drops, so it needs no queue and no departure event: on_cell runs
-    when the upstream port finishes the cell, works out the cell's arrival
-    time t = now + prop_ns, its completion time on this hop's CellClock and
-    its host arrival time completion + prop_ns, and pushes it into the
-    hop's Reassembler. Cells reach the host in the order they reach the
+    never drops, so it needs no queue and no departure event: the upstream
+    port calls on_cell(frame, idx) when it finishes cell idx of frame, and
+    the hop works out the cell's arrival time t = now + prop_ns, its
+    completion time on this hop's CellClock and its host arrival time
+    completion + prop_ns, and pushes the pair into the hop's Reassembler. Cells reach the host in the order they reach the
     hop, so reassembly gives the same frames whenever it runs. Only when a
     push completes a frame does the hop schedule an event: one CELL_ARRIVAL
     at sink, at the last cell's host arrival, whose payload is the frame's
@@ -369,7 +387,7 @@ class SerializerHop:
         self.frames: deque = deque()  # one per scheduled frame
         self.discarded: deque = deque()  # one per reassembly discard
 
-    def on_cell(self, cell) -> None:
+    def on_cell(self, frame: Frame, idx: int) -> None:
         engine = self.engine
         now = engine.now
         prop = self.prop_ns
@@ -402,7 +420,7 @@ class SerializerHop:
         self.cells += 1
         reasm = self.reasm
         discards = reasm.discards
-        seg = reasm.push(cell)
+        seg = reasm.push(frame, idx)
         if reasm.discards != discards:
             # A lone last cell whose frame lost its first cells adds two.
             _note(self.discarded, now, landed, reasm.discards - discards)

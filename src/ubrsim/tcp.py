@@ -92,13 +92,6 @@ class TcpSender:
         self.goback_checks: list[tuple[int, int]] = []
         self._retx_pending = False
 
-    @property
-    def in_slow_start(self) -> bool:
-        return self.cwnd < self.ssthresh
-
-    def effective_window(self) -> int:
-        return min(self.cwnd, self.rcvwnd)
-
     def try_send(self, now_tick: int, arm_tick: int | None = None) -> list[Segment]:
         """Emit every full segment the window permits, advancing snd_nxt.
 

@@ -12,6 +12,7 @@ from ubrsim.aal5 import (
     FRAME_OVERHEAD_BYTES,
     CellClock,
     CellLink,
+    Frame,
     Reassembler,
     Segment,
     cell_time_fraction,
@@ -50,33 +51,47 @@ def test_negative_payload_rejected():
         cells_for_segment(-1)
 
 
+def _numbered(cells):
+    """The (frame, index) pairs of a cell train, as a port numbers them."""
+    return list(zip(cells, range(len(cells))))
+
+
 def test_segment_to_cells_shape():
     seg = Segment(3, False, 4096, 512)
-    cells = segment_to_cells(seg, packet_id=77)
+    cells = segment_to_cells(seg)
     assert len(cells) == 12
-    assert [c[2] for c in cells] == list(range(12))
-    assert [c[3] for c in cells] == [False] * 11 + [True]
-    assert all(c[0] == 3 and c[1] == 77 and c[4] is seg for c in cells)
+    frame = cells[0]
+    assert [i == frame.last for i in range(12)] == [False] * 11 + [True]
+    assert all(c.vc == 3 and c is frame and c.seg is seg for c in cells)
+    assert frame.arrived == 0
+
+
+def test_segment_to_cells_is_n_references_to_one_frame():
+    cells = segment_to_cells(Segment(2, False, 0, 9180))
+    assert len(cells) == cells_for_segment(9180) == 193
+    assert len({id(c) for c in cells}) == 1
+    assert isinstance(cells[0], Frame) and cells[0].last == 192
 
 
 def test_ack_is_two_cells_with_last_marked():
-    cells = segment_to_cells(Segment(0, True, 0, 0, ack_no=512), packet_id=1)
+    cells = segment_to_cells(Segment(0, True, 0, 0, ack_no=512))
     assert len(cells) == 2
-    assert cells[0][3] is False and cells[1][3] is True
+    assert [i == cells[i].last for i in range(2)] == [False, True]
 
 
-def test_consecutive_segments_use_disjoint_packet_ids():
-    a = segment_to_cells(Segment(0, False, 0, 512), packet_id=10)
-    b = segment_to_cells(Segment(0, False, 512, 512), packet_id=11)
-    assert {c[1] for c in a} == {10}
-    assert {c[1] for c in b} == {11}
+def test_consecutive_segments_use_distinct_frames():
+    a = segment_to_cells(Segment(0, False, 0, 512))
+    b = segment_to_cells(Segment(0, False, 512, 512))
+    assert {id(c) for c in a} == {id(a[0])}
+    assert {id(c) for c in b} == {id(b[0])}
+    assert a[0] is not b[0]
 
 
 def test_reassembly_roundtrip_is_identity():
     reasm = Reassembler()
     for seg in (Segment(1, False, 0, 512), Segment(1, True, 0, 0, 512), Segment(1, False, 512, 512)):
-        cells = segment_to_cells(seg, packet_id=seg.seq + 1000)
-        results = [reasm.push(c) for c in cells]
+        cells = _numbered(segment_to_cells(seg))
+        results = [reasm.push(*c) for c in cells]
         assert results[:-1] == [None] * (len(cells) - 1)
         assert results[-1] is seg
     assert reasm.discards == 0
@@ -84,29 +99,29 @@ def test_reassembly_roundtrip_is_identity():
 
 def test_tail_loss_discards_on_next_packet():
     reasm = Reassembler()
-    first = segment_to_cells(Segment(0, False, 0, 512), packet_id=1)
-    second = segment_to_cells(Segment(0, False, 512, 512), packet_id=2)
+    first = _numbered(segment_to_cells(Segment(0, False, 0, 512)))
+    second = _numbered(segment_to_cells(Segment(0, False, 512, 512)))
     for cell in first[:11]:  # last cell lost in the network
-        assert reasm.push(cell) is None
-    out = [reasm.push(c) for c in second]
+        assert reasm.push(*cell) is None
+    out = [reasm.push(*c) for c in second]
     assert reasm.discards == 1
-    assert out[-1] is second[0][4]
+    assert out[-1] is second[0][0].seg
 
 
 def test_head_loss_discards_on_last_cell():
     reasm = Reassembler()
-    cells = segment_to_cells(Segment(0, False, 0, 512), packet_id=5)
+    cells = _numbered(segment_to_cells(Segment(0, False, 0, 512)))
     for cell in cells[1:]:  # first cell lost
-        result = reasm.push(cell)
+        result = reasm.push(*cell)
     assert result is None
     assert reasm.discards == 1
 
 
 def test_mid_loss_discards():
     reasm = Reassembler()
-    cells = segment_to_cells(Segment(0, False, 0, 512), packet_id=9)
+    cells = _numbered(segment_to_cells(Segment(0, False, 0, 512)))
     for cell in cells[:4] + cells[6:]:
-        result = reasm.push(cell)
+        result = reasm.push(*cell)
     assert result is None
     assert reasm.discards == 1
 
@@ -127,7 +142,7 @@ def test_idle_link_arrival_time():
     arrivals = []
     link = CellLink(eng, RATE, 5_000, lambda cell: arrivals.append(eng.now))
     eng.run_until(1_000)
-    link.send_cells(segment_to_cells(Segment(0, True, 0, 0), 1), eng.now)
+    link.send_cells(segment_to_cells(Segment(0, True, 0, 0)), eng.now)
     eng.run_until(100_000)
     assert eng.pending(CELL_ARRIVAL) == 0
     assert arrivals[0] == 1_000 + 2_726 + 5_000
@@ -151,7 +166,7 @@ def test_back_to_back_cells_spaced_one_cell_time():
     eng = EventQueue()
     arrivals = []
     link = CellLink(eng, RATE, 0, lambda cell: arrivals.append(eng.now))
-    link.send_cells(segment_to_cells(Segment(0, False, 0, 512), 1), 0)
+    link.send_cells(segment_to_cells(Segment(0, False, 0, 512)), 0)
     eng.run_until(10**9)
     assert len(arrivals) == 12
     gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
@@ -162,7 +177,7 @@ def test_wan_propagation_dominates():
     eng = EventQueue()
     arrivals = []
     link = CellLink(eng, RATE, 5_000_000, lambda cell: arrivals.append(eng.now))
-    link.send_cells(segment_to_cells(Segment(0, True, 0, 0), 1), 0)
+    link.send_cells(segment_to_cells(Segment(0, True, 0, 0)), 0)
     eng.run_until(10**9)
     assert arrivals[0] == 2726 + 5_000_000
 
@@ -171,9 +186,9 @@ def test_busy_link_serializes_later_offer():
     eng = EventQueue()
     arrivals = []
     link = CellLink(eng, RATE, 0, lambda cell: arrivals.append(eng.now))
-    link.send_cells(segment_to_cells(Segment(0, True, 0, 0), 1), 0)
+    link.send_cells(segment_to_cells(Segment(0, True, 0, 0)), 0)
     # offered mid-transmission of the first train: must queue behind it
-    link.send_cells(segment_to_cells(Segment(0, True, 0, 0), 2), 1000)
+    link.send_cells(segment_to_cells(Segment(0, True, 0, 0)), 1000)
     eng.run_until(10**9)
     assert len(arrivals) == 4
     assert all(b - a >= 2726 for a, b in zip(arrivals, arrivals[1:]))

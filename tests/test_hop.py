@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from ubrsim.aal5 import Reassembler, Segment
+from ubrsim.aal5 import Frame, Reassembler, Segment
 from ubrsim.engine import APP_SEND, CELL_ARRIVAL, EventQueue
 from ubrsim.switches import InvariantError, OutputPort, Policy, PolicyConfig, SerializerHop
 
@@ -16,9 +16,19 @@ TAIL = PolicyConfig(Policy.TAIL_DROP)
 
 
 def _frame(vc, pid, n):
-    """The n cells of one AAL5 frame, carrying a Segment that names it."""
-    seg = Segment(vc, False, pid, 0)
-    return [(vc, pid, i, i == n - 1, seg) for i in range(n)]
+    """The n cells of one AAL5 frame, carrying a Segment that names it, as
+    (frame, index) pairs."""
+    frame = Frame(Segment(vc, False, pid, 0), n)
+    return [(frame, i) for i in range(n)]
+
+
+def _offer(port, cell):
+    """Hand cell (frame, idx) to port. The cells ahead of it in its frame
+    may have been lost before the port, or the frame may already have
+    crossed another port, so set the frame's arrival counter to idx first."""
+    frame, idx = cell
+    frame.arrived = idx
+    port.on_cell_arrival(frame)
 
 
 class _QueuedLeg:
@@ -33,16 +43,19 @@ class _QueuedLeg:
         self.reasm = Reassembler()
         self.cells = self.delivered = 0
 
-    def on_cell(self, cell):
+    def on_cell(self, frame, idx):
         self.cells += 1
-        self.eng.schedule(self.eng.now + self.prop, CELL_ARRIVAL, self.port.on_cell_arrival, cell)
+        self.eng.schedule(self.eng.now + self.prop, CELL_ARRIVAL, self._arrive, (frame, idx))
 
-    def _depart(self, cell):
-        self.eng.schedule(self.eng.now + self.prop, CELL_ARRIVAL, self._land, cell)
+    def _arrive(self, cell):
+        _offer(self.port, cell)
+
+    def _depart(self, frame, idx):
+        self.eng.schedule(self.eng.now + self.prop, CELL_ARRIVAL, self._land, (frame, idx))
 
     def _land(self, cell):
         self.delivered += 1
-        seg = self.reasm.push(cell)
+        seg = self.reasm.push(*cell)
         if seg is not None:
             self.sink(seg)
 
@@ -93,7 +106,7 @@ def _feed_cells(cells):
     """A feed that offers (time, cell) pairs to the upstream port."""
     def feed(eng, upstream):
         for t, cell in cells:
-            eng.schedule(t, APP_SEND, upstream.on_cell_arrival, cell)
+            eng.schedule(t, APP_SEND, lambda c: _offer(upstream, c), cell)
     return feed
 
 
@@ -101,9 +114,10 @@ def _tie_feed(eng, upstream):
     """Two cells the upstream port sends in separate busy periods, 2726 ns apart,
     so the second reaches the leg exactly as the leg finishes the first."""
     a, b = _frame(0, 1, 1)[0], _frame(0, 2, 1)[0]
-    eng.schedule(0, APP_SEND, upstream.on_cell_arrival, a)
+    eng.schedule(0, APP_SEND, lambda c: _offer(upstream, c), a)
     # Scheduled after the upstream port's first departure event, so b finds it idle.
-    eng.schedule(1, APP_SEND, lambda _: eng.schedule(2726, APP_SEND, upstream.on_cell_arrival, b))
+    eng.schedule(1, APP_SEND,
+                 lambda _: eng.schedule(2726, APP_SEND, lambda c: _offer(upstream, c), b))
 
 
 def _peaks(snapshots):

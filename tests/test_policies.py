@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ubrsim.aal5 import Segment, segment_to_cells
+from ubrsim.aal5 import Frame, Segment
 from ubrsim.engine import EventQueue
 from ubrsim.switches import (
     ACCEPT,
@@ -196,29 +196,30 @@ def _mk_port(policy, capacity, n_vcs=3, r=None, z=None, audit=True):
     sink = []
     cfg = PolicyConfig(policy, r, z)
     port = OutputPort(eng, "p", n_vcs, capacity, cfg, RATE,
-                      [sink.append] * n_vcs, audit=audit)
+                      [lambda frame, idx: sink.append((frame, idx))] * n_vcs, audit=audit)
     return eng, port, sink
 
 
-def _packet_cells(vc, pid, n=12):
-    seg = Segment(vc, False, 0, 512)
-    return [(vc, pid, i, i == n - 1, seg) for i in range(n)]
+def _packet_cells(vc, n=12):
+    """The n cells of one frame on VC vc: n references to one Frame, which
+    the port numbers 0..n-1 as they arrive."""
+    return [Frame(Segment(vc, False, 0, 512), n)] * n
 
 
 def test_accepted_cells_depart_in_fifo_order():
     eng, port, sink = _mk_port(Policy.TAIL_DROP, None)
-    cells = _packet_cells(0, 1) + _packet_cells(1, 2)
+    cells = _packet_cells(0) + _packet_cells(1)
     for c in cells:
         port.on_cell_arrival(c)
     eng.run_until(10**9)
-    assert sink == cells
+    assert sink == list(zip(cells, list(range(12)) * 2))
     assert port.x == 0 and port.na == 0
 
 
 def test_departure_updates_per_vc_counts_and_active_count():
     eng, port, _ = _mk_port(Policy.TAIL_DROP, None)
-    port.on_cell_arrival((0, 1, 0, True, None))
-    port.on_cell_arrival((1, 2, 0, True, None))
+    port.on_cell_arrival(_packet_cells(0, n=1)[0])
+    port.on_cell_arrival(_packet_cells(1, n=1)[0])
     assert port.x == 2 and port.na == 2
     eng.run_until(2726)  # first departure only
     assert port.x == 1 and port.na == 1
@@ -234,30 +235,32 @@ def test_buffer_full_drops_under_every_policy():
         (Policy.FBA, 2, Fraction(8, 10)),
     ):
         eng, port, _ = _mk_port(policy, 4, r=r, z=z)
-        # fill to capacity with mid-packet cells (index > 0 dodges thresholds)
-        for i in range(1, 5):
-            assert port.on_cell_arrival((0, 1, i, False, None)) is ACCEPT
-        d = port.on_cell_arrival((0, 1, 5, False, None))
+        # fill to capacity with one frame: its first cell finds X = 0 <= R,
+        # and the mid-frame cells after it dodge the thresholds
+        cells = _packet_cells(0)
+        for c in cells[:4]:
+            assert port.on_cell_arrival(c) is ACCEPT
+        d = port.on_cell_arrival(cells[4])
         assert d is DROP_BUFFER_FULL
 
 
 def test_packet_atomicity_after_threshold_drop():
     eng, port, sink = _mk_port(Policy.EPD, 100, r=2)
     # three cells of an earlier packet push X above R
-    for c in _packet_cells(1, 7, n=4)[:3]:
+    for c in _packet_cells(1, n=4)[:3]:
         port.on_cell_arrival(c)
-    cells = _packet_cells(0, 8)
+    cells = _packet_cells(0)
     assert port.on_cell_arrival(cells[0]) is DROP_EPD_THRESHOLD
     eng.run_until(10**9)  # buffer drains fully; X back to 0
     for c in cells[1:]:
         assert port.on_cell_arrival(c) is DROP_CONTINUED
     # next packet of the same VC is admitted again
-    assert port.on_cell_arrival(_packet_cells(0, 9)[0]) is ACCEPT
+    assert port.on_cell_arrival(_packet_cells(0)[0]) is ACCEPT
 
 
 def test_tail_drop_keeps_no_packet_state():
     eng, port, sink = _mk_port(Policy.TAIL_DROP, 4)
-    cells = _packet_cells(0, 1)
+    cells = _packet_cells(0)
     for c in cells[:4]:
         assert port.on_cell_arrival(c) is ACCEPT
     assert port.on_cell_arrival(cells[4]) is DROP_BUFFER_FULL
@@ -267,7 +270,7 @@ def test_tail_drop_keeps_no_packet_state():
 
 def test_mid_packet_overflow_poisons_rest_of_packet_for_frame_policies():
     eng, port, _ = _mk_port(Policy.EPD, 4, r=3)
-    cells = _packet_cells(0, 1)
+    cells = _packet_cells(0)
     for c in cells[:4]:
         assert port.on_cell_arrival(c) is ACCEPT
     assert port.on_cell_arrival(cells[4]) is DROP_BUFFER_FULL
@@ -278,14 +281,12 @@ def test_mid_packet_overflow_poisons_rest_of_packet_for_frame_policies():
 def test_accounting_identities_hold_under_random_traffic():
     rng = random.Random(99)
     eng, port, _ = _mk_port(Policy.SELECTIVE_DROP, 30, n_vcs=4, r=20, z=Fraction(8, 10))
-    pid = [0, 0, 0, 0]
     t = 0
     for _ in range(400):
         t += rng.randint(0, 4000)
         eng.run_until(t)
         vc = rng.randrange(4)
-        pid[vc] += 1
-        for cell in _packet_cells(vc, (vc + 1) * 100000 + pid[vc], n=rng.randint(1, 12)):
+        for cell in _packet_cells(vc, n=rng.randint(1, 12)):
             port.on_cell_arrival(cell)
         # audit mode recomputes sum(Y)=X and the active count after every
         # mutation; surviving the loop is the assertion
@@ -297,10 +298,18 @@ def test_accounting_identities_hold_under_random_traffic():
 
 def test_audit_mode_catches_corruption():
     eng, port, _ = _mk_port(Policy.TAIL_DROP, None)
-    port.on_cell_arrival((0, 1, 0, True, None))
+    port.on_cell_arrival(_packet_cells(0, n=1)[0])
     port.y[0] = 5  # sabotage
     with pytest.raises(InvariantError):
-        port.on_cell_arrival((1, 2, 0, True, None))
+        port.on_cell_arrival(_packet_cells(1, n=1)[0])
+
+
+def test_audit_mode_catches_a_frame_crossing_the_port_twice():
+    eng, port, _ = _mk_port(Policy.TAIL_DROP, None)
+    [cell] = _packet_cells(0, n=1)
+    port.on_cell_arrival(cell)
+    with pytest.raises(InvariantError, match="only once"):
+        port.on_cell_arrival(cell)
 
 
 def test_policy_config_validation():

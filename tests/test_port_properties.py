@@ -1,0 +1,81 @@
+"""Properties of OutputPort under random per-VC frame trains, every policy."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ubrsim.aal5 import Frame, Segment
+from ubrsim.engine import EventQueue
+from ubrsim.switches import ACCEPT, OutputPort, Policy, PolicyConfig
+
+RATE = 155_520_000  # cell time about 2726.34 ns
+
+
+@st.composite
+def _runs(draw):
+    """A port configuration and a list of (vc, frame size, gap ns) steps.
+
+    Each step first lets gap ns pass, then offers the next cell of vc's
+    current frame, starting a new frame of the given size on vc when the
+    last one is through. Cells of one VC arrive in frame order, as over
+    the FIFO link that carries the VC; VCs interleave freely."""
+    policy = draw(st.sampled_from(list(Policy)))
+    n_vcs = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 40))
+    r = None if policy is Policy.TAIL_DROP else draw(st.integers(1, k - 1))
+    z = None
+    if policy in (Policy.SELECTIVE_DROP, Policy.FBA):
+        z = draw(st.fractions(Fraction(1, 10), 2, max_denominator=10))
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, n_vcs - 1), st.integers(1, 12),
+                  st.sampled_from((0, 0, 0, 1000, 2726, 2727, 9000))),
+        min_size=1, max_size=300,
+    ))
+    return PolicyConfig(policy, r, z), n_vcs, k, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs())
+def test_port_invariants_under_random_frame_trains(run):
+    cfg, n_vcs, k, steps = run
+    eng = EventQueue()
+    sent: dict[Frame, list[int]] = {}
+    port = OutputPort(
+        eng, "p", n_vcs, k, cfg, RATE,
+        [lambda frame, idx: sent.setdefault(frame, []).append(idx)] * n_vcs,
+        audit=True,
+    )
+    frame_aware = cfg.policy is not Policy.TAIL_DROP
+    current: list[Frame | None] = [None] * n_vcs
+    accepted: dict[Frame, list[int]] = {}
+    hit: set[Frame] = set()  # frames that lost a cell at the port
+    t = 0
+    for vc, size, gap in steps:
+        t += gap
+        eng.run_until(t)
+        assert port.x <= k
+        frame = current[vc]
+        if frame is None or frame.arrived > frame.last:
+            frame = current[vc] = Frame(Segment(vc, False, 0, 0), size)
+        x, idx = port.x, frame.arrived
+        decision = port.on_cell_arrival(frame)
+        assert frame.arrived == idx + 1
+        assert port.x <= k
+        if decision is ACCEPT:
+            if cfg.policy is Policy.EPD:
+                assert not (idx == 0 and x > cfg.r_cells)
+            if frame_aware:
+                assert frame not in hit
+            accepted.setdefault(frame, []).append(idx)
+        else:
+            hit.add(frame)
+    eng.run_until(t + 10**9)
+    assert port.x == 0
+    # Every accepted cell reaches the next hop, numbered as it arrived, its
+    # frame's indices in increasing order, tail-drop gaps included.
+    assert sent == accepted
+    for idxs in sent.values():
+        assert all(a < b for a, b in zip(idxs, idxs[1:]))

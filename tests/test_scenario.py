@@ -158,3 +158,25 @@ def test_scenarios_are_hashable_and_picklable():
     s = build_scenario(config="lan", sources=5, buffer=1000, policy="fba")
     assert pickle.loads(pickle.dumps(s)) == s
     assert hash(s) == hash(pickle.loads(pickle.dumps(s)))
+
+
+def test_tick_shorter_than_one_frame_on_the_wire_is_rejected():
+    # A 2 ns tick let coarse-timer timeouts refill the links faster than
+    # line rate until the run ran out of memory; it now fails at build time.
+    recorded = dict(config="lan", sources=5, link_delay_ns=2, mss=9180, buffer=3,
+                    policy="epd", r_fraction=Fraction(1, 2), duration_ns=20_000_000)
+    for tick in (2, 100, 1000):
+        with pytest.raises(ScenarioError) as err:
+            build_scenario(tick_ns=tick, **recorded)
+        assert err.value.field == "tick_ns"
+    # 193 cells of 662500/243 ns each: 526183.1 ns on the wire.
+    with pytest.raises(ScenarioError, match="526184 ns"):
+        build_scenario(tick_ns=526_183, **recorded)
+    assert build_scenario(tick_ns=526_184, **recorded).tick_ns == 526_184
+    # 12 cells for the default 512-byte segment: 32716.05 ns.
+    with pytest.raises(ScenarioError):
+        build_scenario(tick_ns=32_716)
+    build_scenario(tick_ns=32_717)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text("tick_ms = 0.000002\n")
+    assert err.value.field == "tick_ns"

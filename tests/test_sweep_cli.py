@@ -87,6 +87,65 @@ def test_parallel_sweep_matches_serial_byte_for_byte():
     assert serial == parallel
 
 
+def _counting_runs(monkeypatch):
+    """Route the sweep's runs through run_scenario, recording each Scenario run."""
+    calls = []
+
+    def run(scenario):
+        calls.append(scenario)
+        return run_scenario(scenario)
+
+    monkeypatch.setattr("ubrsim.sweep.run_scenario", run)
+    return calls
+
+
+def test_sweep_runs_each_distinct_scenario_once(monkeypatch):
+    calls = _counting_runs(monkeypatch)
+    # Tail drop ignores r_fraction and z, and EPD ignores z: 8 points, 3 Scenarios.
+    spec = parse_sweep_text(
+        "sources = 2\nbuffer = 80\npolicy = tail_drop, epd\n"
+        "r_fraction = 0.5, 0.9\nz = 0.5, 0.8\nduration_s = 0.02\n"
+    )
+    points = spec.points()
+    rows = run_sweep(points)
+    assert len(points) == len(rows) == 8
+    assert calls == list(dict.fromkeys(points)) and len(calls) == 3
+    for point, row in zip(points, rows):
+        assert row == row_for(point, run_scenario(point))
+        assert row is rows[points.index(point)]  # duplicates share the first row
+    # Rows stay in cross-product order: policy, then r_fraction, then z.
+    assert [(r.policy, r.r_fraction) for r in rows] == [
+        ("tail_drop", None)] * 4 + [("epd", 0.5)] * 2 + [("epd", 0.9)] * 2
+
+
+def test_parallel_sweep_submits_longest_runs_first(monkeypatch):
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            submitted.extend(items)
+            return map(fn, list(items))
+
+    calls = _counting_runs(monkeypatch)
+    monkeypatch.setattr("ubrsim.sweep.ProcessPoolExecutor", InlinePool)
+    points = [build_scenario(config="lan", sources=2, duration_ns=ms * 1_000_000)
+              for ms in (20, 40, 20, 30)]
+    rows = run_sweep(points, parallelism=2)
+    assert [s.duration_ns for s in submitted] == [40_000_000, 30_000_000, 20_000_000]
+    assert calls == submitted
+    assert rows == [row_for(p, run_scenario(p)) for p in points]
+    assert rows[0] is rows[2]
+
+
 def test_csv_header_and_formatting():
     row = ResultRow(
         config="lan", n_sources=5, buffer_cells=1000, policy="epd",
@@ -197,7 +256,7 @@ def test_cli_sweep_runs_and_reports_cardinality(tmp_path):
     )
     proc = _cli("sweep", str(sweep), "--parallel", "2")
     assert proc.returncode == 0, proc.stderr
-    assert "cross product of 2 runs" in proc.stderr
+    assert "cross product of 2 points" in proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
