@@ -3,17 +3,7 @@ switches, with tail drop, EPD, Selective Drop, and FBA buffer policies."""
 
 from .engine import EventQueue, SchedulingError
 from .aal5 import Segment, cells_for_segment, segment_to_cells, Reassembler
-from .switches import (
-    DropDecision,
-    DropReason,
-    Policy,
-    PolicyConfig,
-    Verdict,
-    epd_decide,
-    fba_decide,
-    selective_drop_decide,
-    tail_drop_decide,
-)
+from .switches import DropReason, Policy, PolicyConfig
 from .tcp import RttEstimator, TcpReceiver, TcpSender
 from .metrics import RunResult, efficiency, fairness_index, max_possible_throughput
 from .scenario import Scenario, ScenarioError, build_scenario, parse_scenario_file
@@ -29,15 +19,9 @@ __all__ = [
     "cells_for_segment",
     "segment_to_cells",
     "Reassembler",
-    "DropDecision",
     "DropReason",
     "Policy",
     "PolicyConfig",
-    "Verdict",
-    "epd_decide",
-    "fba_decide",
-    "selective_drop_decide",
-    "tail_drop_decide",
     "RttEstimator",
     "TcpReceiver",
     "TcpSender",

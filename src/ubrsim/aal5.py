@@ -117,9 +117,13 @@ class CellClock:
     155.52 Mbps rate (662500/243 ns), so completions accumulate as an exact
     rational within one busy period and round half-up only at event
     boundaries. A multi-million-cell busy period has zero cumulative drift.
+
+    serve(start) opens a fresh busy period at start and returns its first
+    completion; serve() returns the next completion in the current period.
+    When a period is fresh is the caller's rule, not the clock's.
     """
 
-    __slots__ = ("num", "den", "half", "base", "count", "busy_until")
+    __slots__ = ("num", "den", "half", "base", "count")
 
     def __init__(self, rate_bps: int) -> None:
         f = cell_time_fraction(rate_bps)
@@ -128,37 +132,15 @@ class CellClock:
         self.half = f.denominator // 2
         self.base = 0
         self.count = 0
-        self.busy_until = 0
 
-    def start_period(self, now: int) -> int:
-        """First completion of a fresh busy period starting at now."""
-        self.base = now
-        self.count = 1
-        t = now + (self.num + self.half) // self.den
-        self.busy_until = t
-        return t
-
-    def continue_period(self) -> int:
-        """Completion of the next cell in an uninterrupted busy period."""
-        self.count += 1
-        t = self.base + (self.count * self.num + self.half) // self.den
-        self.busy_until = t
-        return t
-
-    def completions(self, now: int, k: int) -> list[int]:
-        """Completion times for k cells offered at now, joining any busy period."""
-        if now >= self.busy_until:
-            self.base = now
-            self.count = 0
-        base = self.base
-        num = self.num
-        den = self.den
-        half = self.half
-        c = self.count
-        out = [base + ((c + i) * num + half) // den for i in range(1, k + 1)]
-        self.count = c + k
-        self.busy_until = out[-1]
-        return out
+    def serve(self, start: int | None = None) -> int:
+        """Completion of the next cell, opening a busy period at start if given."""
+        if start is None:
+            self.count += 1
+        else:
+            self.base = start
+            self.count = 1
+        return self.base + (self.count * self.num + self.half) // self.den
 
 
 class CellLink:
@@ -166,21 +148,29 @@ class CellLink:
 
     Cells handed in FIFO order are clocked out at line rate and arrive at
     the far end one propagation delay after their transmission completes.
+    Cells offered while the serializer is busy (before busy_until, the last
+    completion) join its busy period; otherwise they open a fresh one.
     """
 
-    __slots__ = ("engine", "clock", "prop_ns", "sink")
+    __slots__ = ("engine", "clock", "prop_ns", "sink", "busy_until")
 
     def __init__(self, engine, rate_bps: int, prop_ns: int, sink) -> None:
         self.engine = engine
         self.clock = CellClock(rate_bps)
         self.prop_ns = prop_ns
         self.sink = sink
+        self.busy_until = 0
 
     def send_cells(self, cells: list[Frame], now: int) -> None:
         """Clock out cells, each a reference to its Frame, from now on; each
         reaches sink(frame) at the far end."""
         schedule = self.engine.schedule
+        serve = self.clock.serve
         prop = self.prop_ns
         sink = self.sink
-        for frame, done in zip(cells, self.clock.completions(now, len(cells))):
+        start = now if now >= self.busy_until else None
+        for frame in cells:
+            done = serve(start)
+            start = None
             schedule(done + prop, CELL_ARRIVAL, sink, frame)
+        self.busy_until = done

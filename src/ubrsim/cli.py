@@ -61,8 +61,23 @@ def _configs_arg(value: str) -> tuple[str, ...]:
     raise argparse.ArgumentTypeError(f"unknown config {value!r}")
 
 
+def positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(value)
+    return n
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, where argparse exits 2 (EXIT_INTERNAL here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ubrsim",
         description="Deterministic simulator of TCP over ATM-UBR switches "
                     "with frame-aware drop policies.",
@@ -82,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("sweep", help="sweep file with value lists to cross")
     sweep_p.add_argument("-o", "--output", default=None)
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep_p.add_argument("--parallel", type=int, default=1, metavar="N",
+    sweep_p.add_argument("--parallel", type=positive_int, default=1, metavar="N",
                          help="independent runs to execute concurrently")
 
     for names, grid, help_text in (
@@ -98,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="lan, wan, or both (default both)")
         t.add_argument("-o", "--output", default=None)
         t.add_argument("--format", choices=("csv", "json"), default="csv")
-        t.add_argument("--parallel", type=int, default=1, metavar="N")
+        t.add_argument("--parallel", type=positive_int, default=1, metavar="N")
 
     trace_p = sub.add_parser("trace", help="emit per-connection cwnd traces for one scenario")
     trace_p.set_defaults(cmd=_cmd_trace)

@@ -170,7 +170,8 @@ def run_sweep(
         ran = {scenario: _run_one(scenario) for scenario in distinct}
     else:
         distinct.sort(key=lambda scenario: scenario.duration_ns, reverse=True)
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        # Under the fork start method a pool starts every worker up front.
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(distinct))) as pool:
             ran = dict(zip(distinct, pool.map(_run_one, distinct, chunksize=1)))
     rows = [ran[p] if isinstance(p, Scenario) else p for p in points]
     for row in rows:

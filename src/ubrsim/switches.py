@@ -1,20 +1,27 @@
 """Output-buffered switch ports with the four UBR+ drop policies, and the
 serializer hops that stand in for uncontended per-VC output legs.
 
-Every decision test runs in exact integer arithmetic: the cutoff Z is kept
-as a rational and the load-ratio comparisons are cross-multiplied, so no
-float ever enters a drop decision.
+The four policies share one rule. A cell that finds the buffer full
+(X >= K) is dropped. Otherwise only a frame's first cell is tested, and
+only while occupancy exceeds the threshold (X > R): EPD drops it outright,
+Selective Drop when its VC's load ratio Y_i*N_a/X exceeds the cutoff Z, and
+FBA when that ratio exceeds Z*(K-R)/(X-R). Under the frame-aware policies
+(all but tail drop) a dropped cell also dooms the rest of its frame.
+
+Every test runs in exact integer arithmetic: Z is kept as a rational, the
+load-ratio comparisons are cross-multiplied, and an unbounded K, like tail
+drop's missing R, is a large integer, so no float ever enters a drop
+decision.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
+import sys
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import NamedTuple
 
 from .engine import CELL_ARRIVAL, CELL_DEPARTURE
 from .aal5 import CellClock, Frame, Reassembler
@@ -27,80 +34,20 @@ class Policy(IntEnum):
     FBA = 3
 
 
-class Verdict(IntEnum):
-    ACCEPT = 0
-    DROP = 1
-
-
 class DropReason(IntEnum):
-    NONE = 0
+    NONE = 0  # admitted
     BUFFER_FULL = 1
     EPD_THRESHOLD = 2
     LOAD_RATIO = 3
     CONTINUED_PACKET_DISCARD = 4
 
 
-class DropDecision(NamedTuple):
-    verdict: Verdict
-    reason: DropReason
-
-
-# The five possible decisions, shared so the per-cell path allocates nothing.
-ACCEPT = DropDecision(Verdict.ACCEPT, DropReason.NONE)
-DROP_BUFFER_FULL = DropDecision(Verdict.DROP, DropReason.BUFFER_FULL)
-DROP_EPD_THRESHOLD = DropDecision(Verdict.DROP, DropReason.EPD_THRESHOLD)
-DROP_LOAD_RATIO = DropDecision(Verdict.DROP, DropReason.LOAD_RATIO)
-DROP_CONTINUED = DropDecision(Verdict.DROP, DropReason.CONTINUED_PACKET_DISCARD)
+_ADMITTED = DropReason.NONE  # a global is cheaper to read than an enum member
+UNBOUNDED = sys.maxsize  # the integer K of an unbounded buffer
 
 
 class InvariantError(RuntimeError):
     """A switch accounting invariant broke (always fatal, never ignored)."""
-
-
-def tail_drop_decide(x: int, k: int) -> DropDecision:
-    """Cell-granular tail drop: reject only a physically full buffer."""
-    return DROP_BUFFER_FULL if x >= k else ACCEPT
-
-
-def epd_decide(x: int, k: int, r: int, first_cell: bool) -> DropDecision:
-    """Drop whole new packets once occupancy strictly exceeds the threshold.
-
-    Mid-packet cells of already-accepted packets ride through while any
-    buffer space remains.
-    """
-    if x >= k:
-        return DROP_BUFFER_FULL
-    if first_cell and x > r:
-        return DROP_EPD_THRESHOLD
-    return ACCEPT
-
-
-def selective_drop_decide(
-    x: int, k: int, r: int, y_i: int, n_a: int,
-    z_num: int, z_den: int, first_cell: bool,
-) -> DropDecision:
-    """Above the threshold, drop new packets of VCs whose load ratio exceeds Z."""
-    if x >= k:
-        return DROP_BUFFER_FULL
-    if first_cell and x > r and y_i * n_a * z_den > z_num * x:
-        return DROP_LOAD_RATIO
-    return ACCEPT
-
-
-def fba_decide(
-    x: int, k: int, r: int, y_i: int, n_a: int,
-    z_num: int, z_den: int, first_cell: bool,
-) -> DropDecision:
-    """Selective drop against the dynamic cutoff Z*(K-R)/(X-R).
-
-    The cutoff tightens toward Z as occupancy approaches capacity; the
-    comparison is cross-multiplied (x > r guarantees x - r >= 1).
-    """
-    if x >= k:
-        return DROP_BUFFER_FULL
-    if first_cell and x > r and y_i * n_a * (x - r) * z_den > z_num * x * (k - r):
-        return DROP_LOAD_RATIO
-    return ACCEPT
 
 
 @dataclass(frozen=True)
@@ -128,6 +75,10 @@ class PolicyConfig:
 
 class OutputPort:
     """FIFO cell queue with per-VC accounting and a line-rate transmitter.
+
+    on_cell_arrival applies the drop rule (see the module docstring) inline
+    for every policy and returns its verdict as a DropReason, NONE for an
+    admitted cell. Tail drop takes R = K, so its threshold test never runs.
 
     Per-VC counters are updated only by enqueue/dequeue, never by scanning,
     so the per-cell cost stays O(1). The optional audit mode recomputes the
@@ -161,19 +112,16 @@ class OutputPort:
             raise ValueError(f"{name}: {len(next_hop)} next hops for {n_vcs} VCs")
         self.engine = engine
         self.name = name
-        self.capacity = capacity
+        self.k = UNBOUNDED if capacity is None else capacity
         self.policy = cfg.policy
         self.frame_aware = cfg.policy is not Policy.TAIL_DROP
-        self.r = cfg.r_cells if cfg.r_cells is not None else 0
-        if cfg.z is not None:
-            self.z_num = cfg.z.numerator
-            self.z_den = cfg.z.denominator
-        else:
-            self.z_num = self.z_den = 1
+        self.r = cfg.r_cells if self.frame_aware else self.k
+        self.z_num, self.z_den = (cfg.z or 1).as_integer_ratio()
         self.queue: deque = deque()  # frame, idx, frame, idx, ...
         self.x = 0
         self.y = [0] * n_vcs
         self.na = 0
+        # The frame each VC is discarding the rest of; never set under tail drop.
         self.discarding: list[Frame | None] = [None] * n_vcs
         self.clock = CellClock(rate_bps)
         self.next_hop = list(next_hop)
@@ -184,50 +132,42 @@ class OutputPort:
         self.drops_by_reason = [0] * len(DropReason)
         self.drops_by_vc = [0] * n_vcs
         self.cells_out = 0
-        if cfg.policy is Policy.TAIL_DROP:
-            self._decide = self._decide_tail
-        elif cfg.policy is Policy.EPD:
-            self._decide = self._decide_epd
-        elif cfg.policy is Policy.SELECTIVE_DROP:
-            self._decide = self._decide_sd
-        else:
-            self._decide = self._decide_fba
 
-    # Decision wrappers bind the port state to the pure policy functions.
-    def _decide_tail(self, vc: int, first: bool) -> DropDecision:
-        cap = self.capacity
-        if cap is None:
-            return ACCEPT
-        return tail_drop_decide(self.x, cap)
-
-    def _decide_epd(self, vc: int, first: bool) -> DropDecision:
-        return epd_decide(self.x, self.capacity, self.r, first)
-
-    def _decide_sd(self, vc: int, first: bool) -> DropDecision:
-        return selective_drop_decide(
-            self.x, self.capacity, self.r, self.y[vc], self.na,
-            self.z_num, self.z_den, first,
-        )
-
-    def _decide_fba(self, vc: int, first: bool) -> DropDecision:
-        return fba_decide(
-            self.x, self.capacity, self.r, self.y[vc], self.na,
-            self.z_num, self.z_den, first,
-        )
-
-    def on_cell_arrival(self, frame: Frame) -> DropDecision:
+    def on_cell_arrival(self, frame: Frame) -> DropReason:
         idx = frame.arrived
         frame.arrived = idx + 1
         vc = frame.vc
-        if self.frame_aware and self.discarding[vc] is frame:
-            decision = DROP_CONTINUED
+        x = self.x
+        reason = _ADMITTED
+        if self.discarding[vc] is frame:
+            reason = DropReason.CONTINUED_PACKET_DISCARD
+        elif x >= self.k:
+            reason = DropReason.BUFFER_FULL
+        elif not idx and x > self.r:
+            if self.policy is Policy.EPD:
+                reason = DropReason.EPD_THRESHOLD
+            else:
+                # Y_i*N_a/X > Z, cross-multiplied; FBA scales Z by
+                # (K-R)/(X-R), where X > R makes X - R at least 1.
+                share = self.y[vc] * self.na * self.z_den
+                cutoff = self.z_num * x
+                if self.policy is Policy.FBA:
+                    share *= x - self.r
+                    cutoff *= self.k - self.r
+                if share > cutoff:
+                    reason = DropReason.LOAD_RATIO
+        if reason:
+            self.drops_by_reason[reason] += 1
+            self.drops_by_vc[vc] += 1
+            if self.frame_aware:
+                # Poison the rest of this frame; the end-of-frame cell
+                # (accepted or dropped) re-arms the VC for the next one.
+                self.discarding[vc] = None if idx == frame.last else frame
         else:
-            decision = self._decide(vc, idx == 0)
-        if decision is ACCEPT:
             queue = self.queue
             queue.append(frame)
             queue.append(idx)
-            x = self.x + 1
+            x += 1
             self.x = x
             if x > self.max_x:
                 self.max_x = x
@@ -235,22 +175,14 @@ class OutputPort:
             self.y[vc] = yv
             if yv == 1:
                 self.na += 1
-            if idx == frame.last and self.frame_aware:
+            if idx == frame.last:
                 self.discarding[vc] = None
             if not self.busy:
                 self.busy = True
                 engine = self.engine
                 engine.schedule(
-                    self.clock.start_period(engine.now), CELL_DEPARTURE,
-                    self._on_service_done, None,
+                    self.clock.serve(engine.now), CELL_DEPARTURE, self._on_service_done, None,
                 )
-        else:
-            self.drops_by_reason[decision[1]] += 1
-            self.drops_by_vc[vc] += 1
-            if self.frame_aware:
-                # Poison the rest of this frame; the end-of-frame cell
-                # (accepted or dropped) re-arms the VC for the next one.
-                self.discarding[vc] = None if idx == frame.last else frame
         if self.audit:
             if idx > frame.last:
                 raise InvariantError(
@@ -258,7 +190,7 @@ class OutputPort:
                     f"a frame must cross one port only once"
                 )
             self._audit_check()
-        return decision
+        return reason
 
     def _on_service_done(self, _arg) -> None:
         queue = self.queue
@@ -275,8 +207,7 @@ class OutputPort:
         self.next_hop[vc](frame, idx)
         if x:
             self.engine.schedule(
-                self.clock.continue_period(), CELL_DEPARTURE,
-                self._on_service_done, None,
+                self.clock.serve(), CELL_DEPARTURE, self._on_service_done, None,
             )
         else:
             self.busy = False
@@ -294,8 +225,8 @@ class OutputPort:
         active = len(self.y) - self.y.count(0)
         if active != self.na:
             raise InvariantError(f"{self.name}: N_a={self.na} but {active} VCs active")
-        if x < 0 or (self.capacity is not None and x > self.capacity):
-            raise InvariantError(f"{self.name}: X={x} outside [0, {self.capacity}]")
+        if not 0 <= x <= self.k:
+            raise InvariantError(f"{self.name}: X={x} outside [0, {self.k}]")
 
     def drops_total(self) -> int:
         return sum(self.drops_by_reason)
@@ -313,8 +244,9 @@ class SerializerHop:
     port calls on_cell(frame, idx) when it finishes cell idx of frame, and
     the hop works out the cell's arrival time t = now + prop_ns, its
     completion time on this hop's CellClock and its host arrival time
-    completion + prop_ns, and pushes the pair into the hop's Reassembler. Cells reach the host in the order they reach the
-    hop, so reassembly gives the same frames whenever it runs. Only when a
+    completion + prop_ns, and pushes the pair into the hop's Reassembler.
+    Cells reach the host in the order they reach the hop, so reassembly
+    gives the same frames whenever it runs. Only when a
     push completes a frame does the hop schedule an event: one CELL_ARRIVAL
     at sink, at the last cell's host arrival, whose payload is the frame's
     Segment. A cell that completes nothing schedules nothing.
@@ -336,11 +268,15 @@ class SerializerHop:
     arrival. So it keeps that event's place among equal-time events (see
     EventQueue.schedule_as_of).
 
-    Counters at a horizon end are those of per-cell delivery: the hop keeps
-    the host arrival time of each cell, frame and reassembly discard not
-    yet known to have reached the host, trimmed as the clock passes, so
-    delivered(end), in_flight(end), frames_pending(end) and discards(end)
-    are exact for any end not behind the clock.
+    One deque, done, holds the completion time of each cell not yet known
+    to have reached the host (completion + prop_ns > now), trimmed as the
+    clock passes. The cells in it completing at or after an arrival time
+    t + edge are still in the port, so a bisect gives the occupancy that
+    arrival finds. With done, and the host arrival times of the frames and
+    reassembly discards kept the same way, counters at a horizon end are
+    those of per-cell delivery: delivered(end), in_flight(end),
+    frames_pending(end) and discards(end) are exact for any end not behind
+    the clock.
 
     peak(end) is the peak occupancy the replaced port would have reported
     for a run ending at end; arrivals after end do not count. Should an
@@ -352,7 +288,7 @@ class SerializerHop:
 
     __slots__ = (
         "engine", "name", "clock", "prop_ns", "sink", "limit", "edge", "done", "reached",
-        "reasm", "cells", "landing", "frames", "discarded",
+        "reasm", "cells", "frames", "discarded",
     )
 
     def __init__(
@@ -371,19 +307,18 @@ class SerializerHop:
         self.clock = clock = CellClock(rate_bps)
         self.prop_ns = prop_ns
         self.sink = sink
-        limit = math.inf if capacity is None else capacity
+        limit = UNBOUNDED if capacity is None else capacity
         if cfg.policy is not Policy.TAIL_DROP:
             limit = min(limit, cfg.r_cells + 1)
         self.limit = limit
         # Cells completing before arrival time + edge have left the port:
         # edge 0 keeps one completing exactly at the arrival (tie joins).
         self.edge = 0 if prop_ns * clock.den >= clock.num else 1
-        self.done: deque = deque()  # completion times of cells still in the port
+        self.done: deque = deque()  # completion times of cells not yet at the host
         self.reached: list[int] = []  # reached[k]: first arrival time finding k cells
         self.reasm = Reassembler()
         self.cells = 0  # cells handed to the hop
         # Host arrival times not yet known to have passed, in time order:
-        self.landing: deque = deque()  # one per cell
         self.frames: deque = deque()  # one per scheduled frame
         self.discarded: deque = deque()  # one per reassembly discard
 
@@ -393,10 +328,10 @@ class SerializerHop:
         prop = self.prop_ns
         t = now + prop
         done = self.done
-        gone = t + self.edge
-        while done and done[0] < gone:
+        landed_by = now - prop
+        while done and done[0] <= landed_by:
             done.popleft()
-        x = len(done)
+        x = len(done) - bisect_left(done, t + self.edge)
         if x >= self.limit:
             raise InvariantError(
                 f"{self.name}: a cell found {x} cells queued at t={t} ns, where the "
@@ -404,19 +339,11 @@ class SerializerHop:
             )
         if x == len(self.reached):
             self.reached.append(t)
-        clock = self.clock
-        if x:
-            started = done[-1]  # service begins as the cell ahead completes
-            completion = clock.continue_period()
-        else:
-            started = t
-            completion = clock.start_period(t)
+        # Queued behind a cell, service begins as that cell completes.
+        started = done[-1] if x else t
+        completion = self.clock.serve(None if x else t)
         done.append(completion)
         landed = completion + prop
-        landing = self.landing
-        while landing and landing[0] <= now:
-            landing.popleft()
-        landing.append(landed)
         self.cells += 1
         reasm = self.reasm
         discards = reasm.discards
@@ -434,11 +361,11 @@ class SerializerHop:
 
     def in_flight(self, end: int) -> int:
         """Cells handed to the hop that reach the host after time end."""
-        return _after(self.landing, end)
+        return _after(self.done, end - self.prop_ns)
 
     def delivered(self, end: int) -> int:
         """Cells that reach the host by time end."""
-        return self.cells - _after(self.landing, end)
+        return self.cells - self.in_flight(end)
 
     def frames_pending(self, end: int) -> int:
         """Scheduled frame deliveries that fire after time end."""

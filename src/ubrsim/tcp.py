@@ -2,7 +2,7 @@
 
 Slow start and congestion avoidance drive the window; loss recovery is a
 coarse-grained retransmission timer followed by go-back-N from the oldest
-unacknowledged byte. Duplicate acks are counted but trigger nothing.
+unacknowledged byte. Duplicate acks are ignored.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class RttEstimator:
     def backoff(self) -> None:
         self.rto = min(2 * self.rto, self.rto_max)
 
-    @property
-    def srtt_ticks(self) -> int:
-        return self.srtt8 >> 3
-
 
 class TcpSender:
     """Window state for one infinite-source connection.
@@ -85,7 +81,6 @@ class TcpSender:
         self.timed_seq: int | None = None
         self.timed_tick = 0
         # counters
-        self.dup_acks = 0
         self.retransmits = 0
         self.timeouts = 0
         # first emission after each timeout, as (seq, snd_una) pairs
@@ -137,8 +132,6 @@ class TcpSender:
                 f"conn {self.conn_id}: ack {ack_no} beyond max sent {self.max_sent}"
             )
         if ack_no <= self.snd_una:
-            if ack_no == self.snd_una:
-                self.dup_acks += 1
             return False
         if self.timed_seq is not None and ack_no >= self.timed_seq + self.mss:
             self.est.sample(now_tick - self.timed_tick)
@@ -186,13 +179,12 @@ class TcpSender:
 class TcpReceiver:
     """Cumulative-ack receiver that caches out-of-order full-MSS segments."""
 
-    __slots__ = ("mss", "rcv_nxt", "cache", "dups_discarded")
+    __slots__ = ("mss", "rcv_nxt", "cache")
 
     def __init__(self, mss: int = 512) -> None:
         self.mss = mss
         self.rcv_nxt = 0
         self.cache: set[int] = set()
-        self.dups_discarded = 0
 
     def on_segment(self, seq: int, length: int) -> int:
         """Absorb one intact segment; returns the ack number to emit now."""
@@ -203,10 +195,5 @@ class TcpReceiver:
                 cache.remove(self.rcv_nxt)
                 self.rcv_nxt += self.mss
         elif seq > self.rcv_nxt:
-            if seq in self.cache:
-                self.dups_discarded += 1
-            else:
-                self.cache.add(seq)
-        else:
-            self.dups_discarded += 1
+            self.cache.add(seq)  # a duplicate leaves the set as it was
         return self.rcv_nxt

@@ -239,5 +239,5 @@ def test_hop_keeps_only_cells_in_flight():
     _feed_cells(cells)(eng, upstream)
     eng.run_until(10**9)
     assert hop.cells == 2000 and hop.delivered(10**9) == 2000
-    assert len(hop.landing) <= 2 * prop // 2726 + 3
+    assert len(hop.done) <= 2 * prop // 2726 + 3
     assert len(hop.frames) <= 2 * prop // (5 * 2726) + 2

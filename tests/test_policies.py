@@ -10,49 +10,56 @@ import pytest
 
 from ubrsim.aal5 import Frame, Segment
 from ubrsim.engine import EventQueue
-from ubrsim.switches import (
-    ACCEPT,
-    DROP_BUFFER_FULL,
-    DROP_CONTINUED,
-    DROP_EPD_THRESHOLD,
-    DROP_LOAD_RATIO,
-    DropReason,
-    InvariantError,
-    OutputPort,
-    Policy,
-    PolicyConfig,
-    Verdict,
-    epd_decide,
-    fba_decide,
-    selective_drop_decide,
-    tail_drop_decide,
-)
+from ubrsim.switches import DropReason, InvariantError, OutputPort, Policy, PolicyConfig
 
 RATE = 155_520_000
+NONE = DropReason.NONE
+BUFFER_FULL = DropReason.BUFFER_FULL
+EPD_THRESHOLD = DropReason.EPD_THRESHOLD
+LOAD_RATIO = DropReason.LOAD_RATIO
+CONTINUED = DropReason.CONTINUED_PACKET_DISCARD
+_SEG = Segment(0, False, 0, 512)
+
+
+def _port(policy, k, r=None, z=None):
+    """A one-VC port with audit off, so a test may set X, Y_0 and N_a by hand."""
+    return _mk_port(policy, k, n_vcs=1, r=r, z=z, audit=False)[1]
+
+
+def _verdict(port, x, y=0, na=1, first=True):
+    """Set X = x, Y_0 = y and N_a = na, then offer the port one cell on VC 0:
+    the first cell of a fresh 12-cell frame, or one from its middle."""
+    port.x, port.y[0], port.na = x, y, na
+    frame = Frame(_SEG, 12)
+    frame.arrived = 0 if first else 1
+    return port.on_cell_arrival(frame)
 
 
 # ---------------------------------------------------------------- tail drop
 
 def test_tail_drop_boundaries():
-    assert tail_drop_decide(999, 1000) is ACCEPT
-    assert tail_drop_decide(1000, 1000) is DROP_BUFFER_FULL
-    assert tail_drop_decide(0, 1000) is ACCEPT
+    port = _port(Policy.TAIL_DROP, 1000)
+    assert _verdict(port, 999) is NONE
+    assert _verdict(port, 1000) is BUFFER_FULL
+    assert _verdict(port, 0) is NONE
+    assert _verdict(_port(Policy.TAIL_DROP, None), 10**9) is NONE  # unbounded K
 
 
 # ---------------------------------------------------------------------- epd
 
 def test_epd_threshold_is_strictly_greater():
-    assert epd_decide(801, 1000, 800, True) is DROP_EPD_THRESHOLD
-    assert epd_decide(800, 1000, 800, True) is ACCEPT
-    assert epd_decide(801, 1000, 800, False) is ACCEPT  # mid-packet rides through
-    assert epd_decide(1000, 1000, 800, False) is DROP_BUFFER_FULL
+    port = _port(Policy.EPD, 1000, r=800)
+    assert _verdict(port, 801) is EPD_THRESHOLD
+    assert _verdict(port, 800) is NONE
+    assert _verdict(port, 801, first=False) is NONE  # mid-packet rides through
+    assert _verdict(port, 1000, first=False) is BUFFER_FULL
 
 
 # --------------------------------------------------------------- load ratio
 
 def load_ratio(y_i: int, n_a: int, x: int) -> Fraction:
     """Exact buffer share of one VC relative to the fair allocation x/n_a:
-    the quantity the decision functions compare in cross-multiplied form."""
+    the quantity the port's decisions compare in cross-multiplied form."""
     return Fraction(y_i * n_a, x)
 
 
@@ -74,31 +81,25 @@ def test_load_ratios_of_active_vcs_sum_to_na():
 # ----------------------------------------------------------- selective drop
 
 def test_selective_drop_examples():
-    z = Fraction(8, 10)
+    port = _port(Policy.SELECTIVE_DROP, 1000, r=900, z=Fraction(8, 10))
     # 200*5/950 ~ 1.053 > 0.8 -> drop
-    d = selective_drop_decide(950, 1000, 900, 200, 5, z.numerator, z.denominator, True)
-    assert d is DROP_LOAD_RATIO
+    assert _verdict(port, 950, y=200, na=5) is LOAD_RATIO
     # below threshold nothing drops regardless of share
-    d = selective_drop_decide(800, 1000, 900, 700, 5, z.numerator, z.denominator, True)
-    assert d is ACCEPT
+    assert _verdict(port, 800, y=700, na=5) is NONE
     # 100*5/950 ~ 0.526 <= 0.8 -> accept
-    d = selective_drop_decide(950, 1000, 900, 100, 5, z.numerator, z.denominator, True)
-    assert d is ACCEPT
+    assert _verdict(port, 950, y=100, na=5) is NONE
 
 
 # ----------------------------------------------------------------------- fba
 
 def test_fba_examples():
-    z = Fraction(8, 10)
+    port = _port(Policy.FBA, 1000, r=900, z=Fraction(8, 10))
     # lhs 250*5/950 ~ 1.316 vs cutoff 0.8*(100/50) = 1.6 -> accept
-    d = fba_decide(950, 1000, 900, 250, 5, z.numerator, z.denominator, True)
-    assert d is ACCEPT
+    assert _verdict(port, 950, y=250, na=5) is NONE
     # at X=990 the cutoff shrinks to 0.8*(100/90) ~ 0.889 -> drop
-    d = fba_decide(990, 1000, 900, 250, 5, z.numerator, z.denominator, True)
-    assert d is DROP_LOAD_RATIO
+    assert _verdict(port, 990, y=250, na=5) is LOAD_RATIO
     # X <= R never drops
-    d = fba_decide(900, 1000, 900, 900, 1, z.numerator, z.denominator, True)
-    assert d is ACCEPT
+    assert _verdict(port, 900, y=900, na=1) is NONE
 
 
 def test_fba_cutoff_strictly_decreasing_in_occupancy():
@@ -112,13 +113,13 @@ def test_fba_never_drops_what_selective_drop_accepts():
     z = Fraction(1, 2)
     for k in range(2, 13):
         for r in range(1, k):
+            fba = _port(Policy.FBA, k, r, z)
+            sd = _port(Policy.SELECTIVE_DROP, k, r, z)
             for x in range(k + 1):
                 for y in range(x + 1):
                     for na in (1, 3, 5):
-                        f = fba_decide(x, k, r, y, na, z.numerator, z.denominator, True)
-                        s = selective_drop_decide(x, k, r, y, na, z.numerator, z.denominator, True)
-                        if f is DROP_LOAD_RATIO:
-                            assert s is DROP_LOAD_RATIO
+                        if _verdict(fba, x, y, na) is LOAD_RATIO:
+                            assert _verdict(sd, x, y, na) is LOAD_RATIO
 
 
 # ------------------------------------------------------- algebraic identity
@@ -145,28 +146,32 @@ def test_threshold_identity_random_sample():
 
 # ------------------------------------------------ oracle: exact rational law
 
+def _oracle_tail(x, k):
+    return BUFFER_FULL if x >= k else NONE
+
+
 def _oracle_epd(x, k, r, first):
     if x >= k:
-        return (Verdict.DROP, DropReason.BUFFER_FULL)
+        return BUFFER_FULL
     if first and x > r:
-        return (Verdict.DROP, DropReason.EPD_THRESHOLD)
-    return (Verdict.ACCEPT, DropReason.NONE)
+        return EPD_THRESHOLD
+    return NONE
 
 
 def _oracle_sd(x, k, r, y, na, z, first):
     if x >= k:
-        return (Verdict.DROP, DropReason.BUFFER_FULL)
+        return BUFFER_FULL
     if first and x > r and load_ratio(y, na, x) > z:
-        return (Verdict.DROP, DropReason.LOAD_RATIO)
-    return (Verdict.ACCEPT, DropReason.NONE)
+        return LOAD_RATIO
+    return NONE
 
 
 def _oracle_fba(x, k, r, y, na, z, first):
     if x >= k:
-        return (Verdict.DROP, DropReason.BUFFER_FULL)
+        return BUFFER_FULL
     if first and x > r and load_ratio(y, na, x) > z * Fraction(k - r, x - r):
-        return (Verdict.DROP, DropReason.LOAD_RATIO)
-    return (Verdict.ACCEPT, DropReason.NONE)
+        return LOAD_RATIO
+    return NONE
 
 
 def test_decisions_match_rational_oracle_small_grid():
@@ -174,19 +179,22 @@ def test_decisions_match_rational_oracle_small_grid():
     # the acceptance suite)
     zs = [Fraction(2, 10), Fraction(8, 10), Fraction(1)]
     for k in range(2, 13):
+        tail = _port(Policy.TAIL_DROP, k)
         for r in range(1, k):
+            epd = _port(Policy.EPD, k, r)
+            sds = [_port(Policy.SELECTIVE_DROP, k, r, z) for z in zs]
+            fbas = [_port(Policy.FBA, k, r, z) for z in zs]
             for x in range(k + 1):
                 for first in (True, False):
-                    assert tuple(epd_decide(x, k, r, first)) == _oracle_epd(x, k, r, first)
+                    assert _verdict(epd, x, first=first) is _oracle_epd(x, k, r, first)
                     for y in range(x + 1):
                         for na in (1, 2, 5):
-                            for z in zs:
-                                got = selective_drop_decide(
-                                    x, k, r, y, na, z.numerator, z.denominator, first)
-                                assert tuple(got) == _oracle_sd(x, k, r, y, na, z, first)
-                                got = fba_decide(
-                                    x, k, r, y, na, z.numerator, z.denominator, first)
-                                assert tuple(got) == _oracle_fba(x, k, r, y, na, z, first)
+                            assert _verdict(tail, x, y, na, first) is _oracle_tail(x, k)
+                            for z, sd, fba in zip(zs, sds, fbas):
+                                got = _verdict(sd, x, y, na, first)
+                                assert got is _oracle_sd(x, k, r, y, na, z, first)
+                                got = _verdict(fba, x, y, na, first)
+                                assert got is _oracle_fba(x, k, r, y, na, z, first)
 
 
 # --------------------------------------------------------- port accounting
@@ -239,9 +247,9 @@ def test_buffer_full_drops_under_every_policy():
         # and the mid-frame cells after it dodge the thresholds
         cells = _packet_cells(0)
         for c in cells[:4]:
-            assert port.on_cell_arrival(c) is ACCEPT
+            assert port.on_cell_arrival(c) is NONE
         d = port.on_cell_arrival(cells[4])
-        assert d is DROP_BUFFER_FULL
+        assert d is BUFFER_FULL
 
 
 def test_packet_atomicity_after_threshold_drop():
@@ -250,32 +258,32 @@ def test_packet_atomicity_after_threshold_drop():
     for c in _packet_cells(1, n=4)[:3]:
         port.on_cell_arrival(c)
     cells = _packet_cells(0)
-    assert port.on_cell_arrival(cells[0]) is DROP_EPD_THRESHOLD
+    assert port.on_cell_arrival(cells[0]) is EPD_THRESHOLD
     eng.run_until(10**9)  # buffer drains fully; X back to 0
     for c in cells[1:]:
-        assert port.on_cell_arrival(c) is DROP_CONTINUED
+        assert port.on_cell_arrival(c) is CONTINUED
     # next packet of the same VC is admitted again
-    assert port.on_cell_arrival(_packet_cells(0)[0]) is ACCEPT
+    assert port.on_cell_arrival(_packet_cells(0)[0]) is NONE
 
 
 def test_tail_drop_keeps_no_packet_state():
     eng, port, sink = _mk_port(Policy.TAIL_DROP, 4)
     cells = _packet_cells(0)
     for c in cells[:4]:
-        assert port.on_cell_arrival(c) is ACCEPT
-    assert port.on_cell_arrival(cells[4]) is DROP_BUFFER_FULL
+        assert port.on_cell_arrival(c) is NONE
+    assert port.on_cell_arrival(cells[4]) is BUFFER_FULL
     eng.run_until(2726)  # one slot frees
-    assert port.on_cell_arrival(cells[5]) is ACCEPT  # partial packet passes through
+    assert port.on_cell_arrival(cells[5]) is NONE  # partial packet passes through
 
 
 def test_mid_packet_overflow_poisons_rest_of_packet_for_frame_policies():
     eng, port, _ = _mk_port(Policy.EPD, 4, r=3)
     cells = _packet_cells(0)
     for c in cells[:4]:
-        assert port.on_cell_arrival(c) is ACCEPT
-    assert port.on_cell_arrival(cells[4]) is DROP_BUFFER_FULL
+        assert port.on_cell_arrival(c) is NONE
+    assert port.on_cell_arrival(cells[4]) is BUFFER_FULL
     eng.run_until(2726)
-    assert port.on_cell_arrival(cells[5]) is DROP_CONTINUED
+    assert port.on_cell_arrival(cells[5]) is CONTINUED
 
 
 def test_accounting_identities_hold_under_random_traffic():

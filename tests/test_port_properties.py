@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ubrsim.aal5 import Frame, Segment
 from ubrsim.engine import EventQueue
-from ubrsim.switches import ACCEPT, OutputPort, Policy, PolicyConfig
+from ubrsim.switches import DropReason, OutputPort, Policy, PolicyConfig
 
 RATE = 155_520_000  # cell time about 2726.34 ns
 
@@ -64,7 +64,7 @@ def test_port_invariants_under_random_frame_trains(run):
         decision = port.on_cell_arrival(frame)
         assert frame.arrived == idx + 1
         assert port.x <= k
-        if decision is ACCEPT:
+        if decision is DropReason.NONE:
             if cfg.policy is Policy.EPD:
                 assert not (idx == 0 and x > cfg.r_cells)
             if frame_aware:

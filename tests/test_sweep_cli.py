@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubrsim.cli import _build_parser, _comparison_grid, _zero_loss_grid
+from ubrsim.cli import _build_parser, _comparison_grid, _zero_loss_grid, main
 from ubrsim.scenario import ScenarioError, build_scenario, parse_scenario_text
 from ubrsim.sim import run_scenario
 from ubrsim.sweep import (
@@ -144,6 +144,31 @@ def test_parallel_sweep_submits_longest_runs_first(monkeypatch):
     assert calls == submitted
     assert rows == [row_for(p, run_scenario(p)) for p in points]
     assert rows[0] is rows[2]
+
+
+def test_parallel_sweep_starts_no_more_workers_than_distinct_runs(monkeypatch):
+    workers = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, list(items))
+
+    _counting_runs(monkeypatch)
+    monkeypatch.setattr("ubrsim.sweep.ProcessPoolExecutor", RecordingPool)
+    points = [build_scenario(config="lan", sources=2, duration_ns=ms * 1_000_000)
+              for ms in (20, 30, 20)]
+    run_sweep(points, parallelism=64)
+    run_sweep(points, parallelism=2)
+    assert workers == [2, 2]
 
 
 def test_csv_header_and_formatting():
@@ -299,6 +324,21 @@ def test_cli_sweep_bad_value_exits_1_naming_the_key(tmp_path, text):
     key = text.split()[0]
     assert proc.stderr.startswith(f"error: {key}: "), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "x.scn", "--format", "xml"],
+    ["table1", "--parallel", "abc"],
+    ["table1", "--parallel", "0"],
+    ["sweep", "x.sweep", "--parallel", "-2"],
+    ["no-such-command"],
+])
+def test_cli_usage_errors_exit_1(argv, capsys):
+    # Exit 2 is reserved for internal invariant violations.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_cli_trace_emits_time_cwnd_lines(tmp_path):

@@ -26,7 +26,7 @@ def _drain(sender, tick=0):
 def test_first_sample_seeds_estimator():
     est = RttEstimator()
     est.sample(2)
-    assert est.srtt_ticks == 2
+    assert est.srtt8 >> 3 == 2
     assert est.rttvar4 == 4  # rttvar = 1 tick, stored times 4
     assert est.rto == 6
 
@@ -35,7 +35,7 @@ def test_constant_samples_converge():
     est = RttEstimator()
     for _ in range(100):
         est.sample(5)
-    assert est.srtt_ticks == 5
+    assert est.srtt8 >> 3 == 5
     assert est.rttvar4 <= 3  # integer floor leaves at most 3/4 tick of residue
     assert 5 <= est.rto <= 8
 
@@ -112,10 +112,11 @@ def test_duplicate_acks_change_nothing():
     s.on_ack(512, 0)
     cwnd = s.cwnd
     nxt = s.snd_nxt
+    timer = s.timer_expiry
     for _ in range(3):
         assert s.on_ack(512, 0) is False
-    assert s.dup_acks == 3
     assert s.cwnd == cwnd and s.snd_nxt == nxt and s.timeouts == 0
+    assert s.snd_una == 512 and s.timer_expiry == timer
 
 
 def test_ack_beyond_snd_nxt_aborts():
@@ -236,7 +237,7 @@ def test_sample_taken_for_fresh_segment():
     s.try_send(3)
     s.on_ack(512, 5)
     assert s.est.initialized
-    assert s.est.srtt_ticks == 2
+    assert s.est.srtt8 >> 3 == 2
 
 
 # ------------------------------------------------------------------ receiver
@@ -269,9 +270,10 @@ def test_duplicates_discarded():
     r = TcpReceiver(MSS)
     r.on_segment(0, 512)
     assert r.on_segment(0, 512) == 512  # already delivered
-    r.on_segment(1024, 512)
-    r.on_segment(1024, 512)  # already cached
-    assert r.dups_discarded == 2
+    assert r.rcv_nxt == 512 and not r.cache
+    assert r.on_segment(1024, 512) == 512
+    assert r.on_segment(1024, 512) == 512  # already cached
+    assert r.rcv_nxt == 512 and r.cache == {1024}
 
 
 # ----------------------------------------------------------- property sweep
