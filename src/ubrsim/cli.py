@@ -1,4 +1,4 @@
-"""Command-line surface: single runs, sweeps, built-in grids, cwnd traces.
+"""Command-line surface: single runs, sweeps (the paper's tables among them), cwnd traces.
 
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation.
 """
@@ -7,50 +7,34 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .engine import EngineStateError, SchedulingError
-from .scenario import Scenario, ScenarioError, build_scenario, parse_scenario_file
+from .scenario import ScenarioError, parse_scenario_file
 from .sim import Simulation, run_scenario
-from .sweep import emit_results, parse_sweep_file, row_for, run_sweep
-from .switches import InvariantError, Policy
+from .sweep import SweepSpec, emit_results, parse_sweep_file, row_for, run_sweep
+from .switches import InvariantError
 from .tcp import ProtocolViolation
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_INTERNAL = 2
 
-LAN_BUFFERS = (1000, 2000, 3000)
-WAN_BUFFERS = (12000, 24000, 36000)
-PAPER_R_FRACTION = Fraction(9, 10)
-PAPER_Z = Fraction(4, 5)
-PAPER_POLICIES = (  # (policy, r_fraction, z); None takes the policy's default
-    (Policy.TAIL_DROP, None, None),
-    (Policy.EPD, None, None),
-    (Policy.SELECTIVE_DROP, PAPER_R_FRACTION, PAPER_Z),
-    (Policy.FBA, PAPER_R_FRACTION, PAPER_Z),
-)
 
-
-def _comparison_grid(configs: tuple[str, ...]) -> list[Scenario]:
-    """The comparative experiment grid: each class x sources x buffer x policy."""
-    return [
-        build_scenario(config=config, sources=n, buffer=k,
-                       policy=policy, r_fraction=r_fraction, z=z)
-        for config in configs
-        for n in (5, 15)
-        for k in (LAN_BUFFERS if config == "lan" else WAN_BUFFERS)
-        for policy, r_fraction, z in PAPER_POLICIES
-    ]
-
-
-def _zero_loss_grid(configs: tuple[str, ...]) -> list[Scenario]:
-    """Infinite-buffer runs that measure the zero-loss buffer requirement."""
-    return [
-        build_scenario(config=config, sources=n, buffer=None)
-        for config in configs
-        for n in (5, 15)
-    ]
+# The paper's tables as sweeps, one per configuration class: table1 the
+# zero-loss runs on infinite buffers, table2 every policy over three buffer
+# sizes. R and Z take build_scenario's defaults: EPD R = K - 200, and the
+# paper's R = 0.9 K and Z = 0.8 for Selective Drop and FBA.
+_SOURCES = ("sources", (5, 15))
+_POLICIES = ("policy", ("tail_drop", "epd", "selective_drop", "fba"))
+TABLES = {
+    "table1": {
+        c: SweepSpec((("config", (c,)), _SOURCES, ("buffer", (None,)))) for c in ("lan", "wan")
+    },
+    "table2": {
+        c: SweepSpec((("config", (c,)), _SOURCES, ("buffer", buffers), _POLICIES))
+        for c, buffers in (("lan", (1000, 2000, 3000)), ("wan", (12000, 24000, 36000)))
+    },
+}
 
 
 def _configs_arg(value: str) -> tuple[str, ...]:
@@ -93,22 +77,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="recheck buffer accounting after every mutation (slower)")
 
     sweep_p = sub.add_parser("sweep", help="execute the cross product of a sweep file")
-    sweep_p.set_defaults(cmd=_cmd_sweep)
+    sweep_p.set_defaults(cmd=_cmd_sweep, table=None)
     sweep_p.add_argument("sweep", help="sweep file with value lists to cross")
     sweep_p.add_argument("-o", "--output", default=None)
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep_p.add_argument("--parallel", type=positive_int, default=1, metavar="N",
                          help="independent runs to execute concurrently")
 
-    for names, grid, help_text in (
-        (("table1",), _zero_loss_grid,
-         "zero-loss grid: infinite buffers, 5/15 sources, LAN/WAN"),
-        (("table2", "table3"), _comparison_grid,
-         "comparative grid: all four policies across buffer sizes; "
-         "table3 is an alias (read the fairness column)"),
+    for names, help_text in (
+        (("table1",), "zero-loss grid: infinite buffers, 5/15 sources, LAN/WAN"),
+        (("table2", "table3"), "comparative grid: all four policies across buffer sizes; "
+                               "table3 is an alias (read the fairness column)"),
     ):
         t = sub.add_parser(names[0], aliases=names[1:], help=help_text)
-        t.set_defaults(cmd=_cmd_grid, grid=grid)
+        t.set_defaults(cmd=_cmd_sweep, table=TABLES[names[0]])
         t.add_argument("--config", type=_configs_arg, default=("lan", "wan"),
                        help="lan, wan, or both (default both)")
         t.add_argument("-o", "--output", default=None)
@@ -131,36 +113,29 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = parse_sweep_file(args.sweep)
-    print(f"sweep: cross product of {spec.cardinality()} points", file=sys.stderr)
-    rows = run_sweep(spec.points(), parallelism=args.parallel, report=sys.stderr)
-    emit_results(rows, args.format, args.output)
-    return EXIT_OK
-
-
-def _cmd_grid(args) -> int:
-    scenarios = args.grid(args.config)
-    print(f"grid: {len(scenarios)} runs", file=sys.stderr)
-    rows = run_sweep(scenarios, parallelism=args.parallel, report=sys.stderr)
+    """A sweep file, or a built-in table: one sweep per configuration class."""
+    if args.table is None:
+        specs = [parse_sweep_file(args.sweep)]
+    else:
+        specs = [args.table[config] for config in args.config]
+    sizes = " + ".join(str(spec.cardinality()) for spec in specs)
+    print(f"sweep: cross product of {sizes} points", file=sys.stderr)
+    points = [point for spec in specs for point in spec.points()]
+    rows = run_sweep(points, parallelism=args.parallel, report=sys.stderr)
     emit_results(rows, args.format, args.output)
     return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
-    scenario = parse_scenario_file(args.scenario)
-    sim = Simulation(scenario, collect_cwnd=True)
+    sim = Simulation(parse_scenario_file(args.scenario), collect_cwnd=True)
     sim.run()
-    if args.output is None:
-        for conn, trace in enumerate(sim.cwnd_traces):
-            sys.stdout.write(f"# conn {conn}\n")
-            for t, cwnd in trace:
-                sys.stdout.write(f"{t},{cwnd}\n")
-    else:
-        for conn, trace in enumerate(sim.cwnd_traces):
-            path = f"{args.output}.conn{conn}.csv"
-            with open(path, "w", encoding="utf-8") as fh:
-                for t, cwnd in trace:
-                    fh.write(f"{t},{cwnd}\n")
+    for conn, trace in enumerate(sim.cwnd_traces):
+        lines = "".join(f"{t},{cwnd}\n" for t, cwnd in trace)
+        if args.output is None:
+            sys.stdout.write(f"# conn {conn}\n{lines}")
+        else:
+            with open(f"{args.output}.conn{conn}.csv", "w", encoding="utf-8") as fh:
+                fh.write(lines)
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .aal5 import CELL_WIRE_BYTES, cells_for_segment
 from .engine import NS_PER_MS, NS_PER_SEC, NS_PER_US
-from .switches import Policy, PolicyConfig
+from .switches import ConfigError, Policy, PolicyConfig
 
 
 class ScenarioError(ValueError):
@@ -40,9 +40,8 @@ _POLICY_ALIASES = {
     "fba": Policy.FBA,
 }
 
-# R derivation rules: ("cells", n) pins an absolute threshold, ("fraction", f)
-# scales with the port capacity, ("default",) applies the per-policy rule
-# (EPD: K - 200 cells; Selective Drop / FBA: floor(0.9 K)).
+# Default thresholds: EPD takes R = K - 200 cells, Selective Drop and FBA
+# the paper's R = floor(0.9 K) and Z = 0.8.
 EPD_DEFAULT_HEADROOM_CELLS = 200
 SD_FBA_DEFAULT_R_FRACTION = Fraction(9, 10)
 DEFAULT_Z = Fraction(4, 5)
@@ -67,7 +66,8 @@ class Scenario:
     buffer_cells: int | None
     reverse_buffer_cells: int | None
     policy: Policy
-    r_rule: tuple
+    r_cells: int | None  # threshold R of the forward bottleneck port
+    reverse_r_cells: int | None  # R of the reverse (ack) port
     z: Fraction | None
     rto_initial_ticks: int
     rto_max_ticks: int
@@ -76,35 +76,9 @@ class Scenario:
     def duration_s(self) -> float:
         return self.duration_ns / NS_PER_SEC
 
-    def resolve_r(self, capacity: int | None) -> int | None:
-        """Threshold R in cells for a port of the given capacity."""
-        if self.policy is Policy.TAIL_DROP:
-            return None
-        kind = self.r_rule[0]
-        if kind == "cells":
-            return self.r_rule[1]
-        if capacity is None:
-            raise ScenarioError("buffer", f"policy {self.policy.name} requires a finite buffer")
-        if kind == "fraction":
-            return (self.r_rule[1] * capacity).__floor__()
-        if self.policy is Policy.EPD:
-            return capacity - EPD_DEFAULT_HEADROOM_CELLS
-        return (SD_FBA_DEFAULT_R_FRACTION * capacity).__floor__()
-
-    def policy_config(self, capacity: int | None) -> PolicyConfig:
-        return PolicyConfig(self.policy, self.resolve_r(capacity), self.z)
-
-    @property
-    def r_cells(self) -> int | None:
-        """Threshold on the forward bottleneck port (reporting convenience)."""
-        return self.resolve_r(self.buffer_cells)
-
     @property
     def r_fraction(self) -> float | None:
-        r = self.r_cells
-        if r is None or self.buffer_cells is None:
-            return None
-        return r / self.buffer_cells
+        return None if self.r_cells is None else self.r_cells / self.buffer_cells
 
 
 _SAME = object()  # reverse_buffer default: mirror the forward buffer
@@ -140,7 +114,8 @@ def build_scenario(
         rcvwnd = defaults["rcvwnd"]
     if duration_ns is None:
         duration_ns = defaults["duration_ns"]
-    if initial_ssthresh is None:
+    ssthresh_defaulted = initial_ssthresh is None
+    if ssthresh_defaulted:
         initial_ssthresh = rcvwnd
 
     if isinstance(policy, str):
@@ -156,6 +131,11 @@ def build_scenario(
     if rcvwnd < mss:
         raise ScenarioError("rcvwnd", f"receiver window {rcvwnd} below one segment ({mss})")
     if initial_ssthresh < 2 * mss:
+        if ssthresh_defaulted:  # name the key the user set
+            raise ScenarioError(
+                "rcvwnd", f"receiver window {rcvwnd} below two segments ({2 * mss}), the "
+                "least initial_ssthresh, which defaults to the receiver window",
+            )
         raise ScenarioError(
             "initial_ssthresh", f"must be at least two segments, got {initial_ssthresh}"
         )
@@ -185,31 +165,38 @@ def build_scenario(
     if reverse_buffer is not None and reverse_buffer < 1:
         raise ScenarioError("reverse_buffer", f"must hold at least one cell, got {reverse_buffer}")
 
-    if policy is Policy.TAIL_DROP:
-        r_rule: tuple = ("none",)
+    if policy not in (Policy.SELECTIVE_DROP, Policy.FBA):
         z = None
-    else:
-        if buffer is None:
-            raise ScenarioError("buffer", f"policy {policy.name} requires a finite buffer")
+    elif z is None:
+        z = DEFAULT_Z
+    if policy is not Policy.TAIL_DROP:
         if r_cells is not None and r_fraction is not None:
             raise ScenarioError("r_cells", "give r_cells or r_fraction, not both")
-        if r_cells is not None:
-            r_rule = ("cells", r_cells)
-        elif r_fraction is not None:
-            if not 0 < r_fraction < 1:
-                raise ScenarioError("r_fraction", f"need 0 < fraction < 1, got {r_fraction}")
-            r_rule = ("fraction", r_fraction)
-        else:
-            r_rule = ("default",)
-        if policy in (Policy.SELECTIVE_DROP, Policy.FBA):
-            if z is None:
-                z = DEFAULT_Z
-            if z <= 0:
-                raise ScenarioError("z", f"cutoff must be positive, got {z}")
-        else:
-            z = None
+        if r_fraction is not None and not 0 < r_fraction < 1:
+            raise ScenarioError("r_fraction", f"need 0 < fraction < 1, got {r_fraction}")
 
-    scenario = Scenario(
+    def threshold(k: int | None) -> int | None:
+        """R for a port of capacity K; None where the policy has none."""
+        if policy is Policy.TAIL_DROP or k is None:
+            return None
+        if r_cells is not None:
+            return r_cells
+        if r_fraction is not None:
+            return (r_fraction * k).__floor__()
+        if policy is Policy.EPD:
+            return k - EPD_DEFAULT_HEADROOM_CELLS
+        return (SD_FBA_DEFAULT_R_FRACTION * k).__floor__()
+
+    # Both directions' thresholds are resolved and checked here, once, so a
+    # bad combination fails at build time, not mid-run.
+    r_fwd, r_rev = threshold(buffer), threshold(reverse_buffer)
+    for key, k, r in (("buffer", buffer, r_fwd), ("reverse_buffer", reverse_buffer, r_rev)):
+        try:
+            PolicyConfig(policy, r, z).validate(k)
+        except ConfigError as exc:
+            raise ScenarioError("z" if exc.on == "z" else key, str(exc)) from None
+
+    return Scenario(
         config_class=config,
         n_sources=sources,
         link_rate_bps=link_rate_bps,
@@ -222,21 +209,12 @@ def build_scenario(
         buffer_cells=buffer,
         reverse_buffer_cells=reverse_buffer,
         policy=policy,
-        r_rule=r_rule,
+        r_cells=r_fwd,
+        reverse_r_cells=r_rev,
         z=z,
         rto_initial_ticks=rto_initial_ticks,
         rto_max_ticks=rto_max_ticks,
     )
-    # Thresholds must be valid for both directions; validate eagerly so bad
-    # combinations fail at build time, not mid-run.
-    if policy is not Policy.TAIL_DROP:
-        for field_name, cap in (("buffer", buffer), ("reverse_buffer", reverse_buffer)):
-            if cap is None:
-                raise ScenarioError(field_name, f"policy {policy.name} requires a finite buffer")
-            r = scenario.resolve_r(cap)
-            if not 0 < r < cap:
-                raise ScenarioError(field_name, f"threshold R={r} outside (0, K={cap})")
-    return scenario
 
 
 def _integer(text: str) -> int:
@@ -308,13 +286,14 @@ def parse_value(key: str, parse, text: str):
 
 def read_keys(text: str, table: dict):
     """Yield (key, (parameter, parser), raw value) for each key a key=value
-    text sets, in table order. Text before any header belongs to the table's
+    text sets, in table order. Keys before any header belong to the table's
     first section; an unknown section or key raises ScenarioError."""
     parser = configparser.ConfigParser(interpolation=None)
-    if not text.lstrip().startswith("["):
-        text = f"[{next(iter(table))}]\n" + text
     try:
-        parser.read_string(text)
+        try:
+            parser.read_string(text)
+        except configparser.MissingSectionHeaderError:  # a key came first
+            parser.read_string(f"[{next(iter(table))}]\n" + text)
     except configparser.Error as exc:
         raise ScenarioError("file", f"unparseable key=value text: {exc}") from None
     for section in parser.sections():

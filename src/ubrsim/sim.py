@@ -37,52 +37,8 @@ from .aal5 import CellLink, Segment, segment_to_cells
 from .engine import APP_SEND, CELL_ARRIVAL, TIMER_TICK, EventQueue, NS_PER_SEC
 from .metrics import RunResult
 from .scenario import Scenario
-from .switches import DropReason, InvariantError, OutputPort, SerializerHop
+from .switches import DropReason, InvariantError, OutputPort, PolicyConfig, SerializerHop
 from .tcp import TcpReceiver, TcpSender
-
-
-class _DestEndpoint:
-    """Destination host glue: the TCP receiver and its ack path."""
-
-    __slots__ = ("sim", "conn", "receiver", "ack_link")
-
-    def __init__(self, sim, conn: int, mss: int) -> None:
-        self.sim = sim
-        self.conn = conn
-        self.receiver = TcpReceiver(mss)
-        self.ack_link: CellLink | None = None
-
-    def on_frame(self, seg: Segment) -> None:
-        ack_no = self.receiver.on_segment(seg.seq, seg.payload_len)
-        self.sim.emit_segments((Segment(self.conn, True, 0, 0, ack_no),), self.ack_link)
-
-
-class _SrcEndpoint:
-    """Source host glue: the TCP sender and its data path."""
-
-    __slots__ = ("sim", "conn", "sender", "data_link")
-
-    def __init__(self, sim, conn: int, sender: TcpSender) -> None:
-        self.sim = sim
-        self.conn = conn
-        self.sender = sender
-        self.data_link: CellLink | None = None
-
-    def on_frame(self, seg: Segment) -> None:
-        sim = self.sim
-        sender = self.sender
-        now = sim.engine.now
-        tick_ns = sim.tick_ns
-        now_tick = now // tick_ns
-        # A timer (re)started mid-interval begins counting at the next
-        # boundary; the coarse clock cannot observe sub-tick arming.
-        arm_tick = (now + tick_ns - 1) // tick_ns
-        if sender.on_ack(seg.ack_no, now_tick, arm_tick):
-            out = sender.try_send(now_tick, arm_tick)
-            if out:
-                sim.emit_segments(out, self.data_link)
-        if sim.cwnd_traces is not None:
-            sim.record_cwnd(self.conn)
 
 
 class Simulation:
@@ -103,8 +59,8 @@ class Simulation:
         prop = scenario.link_delay_ns
         fwd_cap = scenario.buffer_cells
         rev_cap = scenario.reverse_buffer_cells
-        fwd_cfg = scenario.policy_config(fwd_cap)
-        rev_cfg = scenario.policy_config(rev_cap)
+        fwd_cfg = PolicyConfig(scenario.policy, scenario.r_cells, scenario.z)
+        rev_cfg = PolicyConfig(scenario.policy, scenario.reverse_r_cells, scenario.z)
 
         self.cells_injected = 0
 
@@ -119,18 +75,17 @@ class Simulation:
             )
             for i in range(n)
         ]
-        self.dests = [_DestEndpoint(self, i, scenario.mss) for i in range(n)]
-        self.srcs = [_SrcEndpoint(self, i, self.senders[i]) for i in range(n)]
+        self.receivers = [TcpReceiver(scenario.mss) for _ in range(n)]
 
         eng = self.engine
         # Switch B fan-out: one leg per destination host, over the bottleneck.
         self.b_dst_hops = [
-            SerializerHop(eng, f"B.dst{i}", fwd_cap, fwd_cfg, rate, prop, self.dests[i].on_frame)
+            SerializerHop(eng, f"B.dst{i}", fwd_cap, fwd_cfg, rate, prop, self._on_data)
             for i in range(n)
         ]
         # Switch A fan-out: one ack leg per source host, over the reverse link.
         self.a_src_hops = [
-            SerializerHop(eng, f"A.src{i}", rev_cap, rev_cfg, rate, prop, self.srcs[i].on_frame)
+            SerializerHop(eng, f"A.src{i}", rev_cap, rev_cfg, rate, prop, self._on_ack)
             for i in range(n)
         ]
         self.a_fwd_port = OutputPort(
@@ -142,10 +97,11 @@ class Simulation:
             [h.on_cell for h in self.a_src_hops], audit,
         )
         self.ports = [self.a_fwd_port, self.b_rev_port]
-
-        for i in range(n):
-            self.srcs[i].data_link = CellLink(eng, rate, prop, self.a_fwd_port.on_cell_arrival)
-            self.dests[i].ack_link = CellLink(eng, rate, prop, self.b_rev_port.on_cell_arrival)
+        # Per connection: the source's data link and the destination's ack link.
+        self.data_links = [CellLink(eng, rate, prop, self.a_fwd_port.on_cell_arrival)
+                           for _ in range(n)]
+        self.ack_links = [CellLink(eng, rate, prop, self.b_rev_port.on_cell_arrival)
+                          for _ in range(n)]
 
         self.cwnd_traces: list[list[tuple[int, int]]] | None = (
             [[] for _ in range(n)] if collect_cwnd else None
@@ -164,22 +120,40 @@ class Simulation:
         if not trace or trace[-1][1] != cwnd:
             trace.append((self.engine.now, cwnd))
 
+    def _on_data(self, seg: Segment) -> None:
+        """A whole data frame reaches its destination host: ack it."""
+        conn = seg.conn_id
+        ack_no = self.receivers[conn].on_segment(seg.seq, seg.payload_len)
+        self.emit_segments((Segment(conn, True, 0, 0, ack_no),), self.ack_links[conn])
+
+    def _on_ack(self, seg: Segment) -> None:
+        """A whole ack frame reaches its source host."""
+        conn = seg.conn_id
+        now = self.engine.now
+        tick_ns = self.tick_ns
+        now_tick = now // tick_ns
+        # A timer (re)started mid-interval begins counting at the next
+        # boundary; the coarse clock cannot observe sub-tick arming.
+        arm_tick = (now + tick_ns - 1) // tick_ns
+        if self.senders[conn].on_ack(seg.ack_no, now_tick, arm_tick):
+            self._send(conn, now_tick, arm_tick)
+
     def _on_tick(self, _arg) -> None:
         eng = self.engine
         now_tick = eng.now // self.tick_ns
         for i, sender in enumerate(self.senders):
             if sender.on_tick(now_tick):
-                out = sender.try_send(now_tick)
-                if out:
-                    self.emit_segments(out, self.srcs[i].data_link)
-                if self.cwnd_traces is not None:
-                    self.record_cwnd(i)
+                self._send(i, now_tick, now_tick)
         eng.schedule(eng.now + self.tick_ns, TIMER_TICK, self._on_tick, None)
 
     def _start_source(self, conn: int) -> None:
-        out = self.senders[conn].try_send(0)
+        self._send(conn, 0, 0)
+
+    def _send(self, conn: int, now_tick: int, arm_tick: int) -> None:
+        """Let conn's sender emit what its window allows, then trace its cwnd."""
+        out = self.senders[conn].try_send(now_tick, arm_tick)
         if out:
-            self.emit_segments(out, self.srcs[conn].data_link)
+            self.emit_segments(out, self.data_links[conn])
         if self.cwnd_traces is not None:
             self.record_cwnd(conn)
 
@@ -194,7 +168,7 @@ class Simulation:
     def _collect(self) -> RunResult:
         scn = self.scenario
         n = scn.n_sources
-        delivered_bytes = tuple(d.receiver.rcv_nxt for d in self.dests)
+        delivered_bytes = tuple(r.rcv_nxt for r in self.receivers)
         hops = self.b_dst_hops + self.a_src_hops
         end = self.engine.now
         max_queue_by_port = {p.name: p.max_x for p in self.ports}

@@ -50,27 +50,39 @@ class InvariantError(RuntimeError):
     """A switch accounting invariant broke (always fatal, never ignored)."""
 
 
+class ConfigError(ValueError):
+    """A PolicyConfig unfit for its port; on is the parameter at fault, "capacity" or "z"."""
+
+    def __init__(self, on: str, message: str) -> None:
+        super().__init__(message)
+        self.on = on
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Drop policy with its threshold R (cells) and rational cutoff Z."""
+    """Drop policy with its threshold R (cells) and rational cutoff Z. Ports
+    trust it: build_scenario validates each direction's config once."""
 
     policy: Policy
     r_cells: int | None = None
     z: Fraction | None = None
 
     def validate(self, capacity: int | None) -> None:
+        """Raise ConfigError unless the config fits a port of capacity K
+        (None: unbounded): a frame-aware policy needs a finite K and
+        0 < R < K, and Selective Drop and FBA a cutoff Z > 0."""
         p = self.policy
         if p is Policy.TAIL_DROP:
             return
         if capacity is None:
-            raise ValueError(f"policy {p.name} requires a finite buffer")
+            raise ConfigError("capacity", f"policy {p.name} requires a finite buffer")
+        if p is not Policy.EPD and (self.z is None or self.z <= 0):
+            raise ConfigError("z", f"policy {p.name} needs cutoff Z > 0, got {self.z}")
         if self.r_cells is None or not 0 < self.r_cells < capacity:
-            raise ValueError(
-                f"policy {p.name} needs threshold 0 < R < K, got R={self.r_cells} K={capacity}"
+            raise ConfigError(
+                "capacity",
+                f"policy {p.name} needs threshold 0 < R < K, got R={self.r_cells} K={capacity}",
             )
-        if p in (Policy.SELECTIVE_DROP, Policy.FBA):
-            if self.z is None or self.z <= 0:
-                raise ValueError(f"policy {p.name} needs cutoff Z > 0, got {self.z}")
 
 
 class OutputPort:
@@ -107,7 +119,6 @@ class OutputPort:
         next_hop: list,
         audit: bool = False,
     ) -> None:
-        cfg.validate(capacity)
         if len(next_hop) != n_vcs:
             raise ValueError(f"{name}: {len(next_hop)} next hops for {n_vcs} VCs")
         self.engine = engine
@@ -301,7 +312,6 @@ class SerializerHop:
         prop_ns: int,
         sink,
     ) -> None:
-        cfg.validate(capacity)
         self.engine = engine
         self.name = name
         self.clock = clock = CellClock(rate_bps)

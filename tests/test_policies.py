@@ -10,7 +10,9 @@ import pytest
 
 from ubrsim.aal5 import Frame, Segment
 from ubrsim.engine import EventQueue
-from ubrsim.switches import DropReason, InvariantError, OutputPort, Policy, PolicyConfig
+from ubrsim.switches import (
+    ConfigError, DropReason, InvariantError, OutputPort, Policy, PolicyConfig,
+)
 
 RATE = 155_520_000
 NONE = DropReason.NONE
@@ -331,3 +333,12 @@ def test_policy_config_validation():
         PolicyConfig(Policy.EPD, 800, None).validate(None)
     PolicyConfig(Policy.EPD, 800, None).validate(1000)
     PolicyConfig(Policy.TAIL_DROP).validate(None)
+    # Each failure names the parameter at fault; a finite K comes first.
+    for cfg, capacity, on in (
+        (PolicyConfig(Policy.SELECTIVE_DROP, 0, Fraction(0)), None, "capacity"),
+        (PolicyConfig(Policy.SELECTIVE_DROP, 0, Fraction(0)), 1000, "z"),
+        (PolicyConfig(Policy.FBA, 0, Fraction(4, 5)), 1000, "capacity"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            cfg.validate(capacity)
+        assert err.value.on == on

@@ -39,7 +39,7 @@ def test_wan_defaults():
 def test_epd_default_threshold_is_buffer_minus_200():
     s = build_scenario(config="lan", sources=5, buffer=1000, policy="epd")
     assert s.r_cells == 800
-    assert s.policy_config(1000).r_cells == 800
+    assert s.reverse_r_cells == 800
 
 
 def test_sd_fba_default_parameters():
@@ -87,7 +87,7 @@ def test_reverse_buffer_defaults_to_forward():
     s = build_scenario(buffer=1000, policy="epd")
     assert s.reverse_buffer_cells == 1000
     s = build_scenario(buffer=1000, reverse_buffer=3000, policy="epd")
-    assert s.policy_config(s.reverse_buffer_cells).r_cells == 2800
+    assert (s.r_cells, s.reverse_r_cells) == (800, 2800)
 
 
 def test_parse_flat_text_with_policy_section():
@@ -180,3 +180,49 @@ def test_tick_shorter_than_one_frame_on_the_wire_is_rejected():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("tick_ms = 0.000002\n")
     assert err.value.field == "tick_ns"
+
+
+def test_thresholds_are_resolved_at_build_time():
+    # The paper's R = 0.9 K and Z = 0.8 are the SD/FBA defaults: spelling
+    # them out builds the same Scenario, which a sweep then runs once.
+    default = build_scenario(buffer=999, reverse_buffer=50, policy="fba")
+    spelled = build_scenario(buffer=999, reverse_buffer=50, policy="fba",
+                             r_fraction=Fraction(9, 10), z=Fraction(4, 5))
+    assert default == spelled
+    assert (default.r_cells, default.reverse_r_cells) == (899, 45)
+    assert build_scenario(buffer=1000, policy="epd", r_cells=10).reverse_r_cells == 10
+    assert build_scenario(buffer=1000).r_cells is None
+    assert build_scenario(buffer=1000).r_fraction is None
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(buffer=1000, reverse_buffer=None, policy="epd"), "reverse_buffer"),
+    (dict(buffer=1000, reverse_buffer=150, policy="epd"), "reverse_buffer"),
+    (dict(buffer=1000, policy="sd", z=Fraction(0)), "z"),
+    (dict(buffer=1000, policy="fba", r_cells=1000, z=Fraction(-1)), "z"),
+    (dict(buffer=1000, policy="epd", r_cells=0), "buffer"),
+])
+def test_policy_rule_failures_name_the_key(kwargs, field):
+    with pytest.raises(ScenarioError) as err:
+        build_scenario(**kwargs)
+    assert err.value.field == field
+
+
+def test_defaulted_initial_ssthresh_error_names_rcvwnd():
+    # initial_ssthresh defaults to rcvwnd, which is the key the user set.
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text("mss = 512\nrcvwnd = 1000\n")
+    assert err.value.field == "rcvwnd"
+    assert "initial_ssthresh" in str(err.value)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text("mss = 512\nrcvwnd = 65535\ninitial_ssthresh = 600\n")
+    assert err.value.field == "initial_ssthresh"
+
+
+def test_comment_before_first_header_parses():
+    s = parse_scenario_text("# a note\n; another\n\n[scenario]\nsources = 3\nbuffer = 1000\n"
+                            "[policy]\nkind = epd\n")
+    assert (s.n_sources, s.r_cells) == (3, 800)
+    # Headerless text, a comment first or not, still belongs to [scenario].
+    assert parse_scenario_text("# a note\nsources = 4\n").n_sources == 4
+    assert parse_scenario_text("sources = 4\n[policy]\nkind = ubr\n").n_sources == 4

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubrsim.cli import _build_parser, _comparison_grid, _zero_loss_grid, main
+from ubrsim.cli import TABLES, _build_parser, main
 from ubrsim.scenario import ScenarioError, build_scenario, parse_scenario_text
 from ubrsim.sim import run_scenario
 from ubrsim.sweep import (
@@ -230,10 +232,15 @@ def test_emit_results_rejects_unknown_format():
 
 # ------------------------------------------------------------------ CLI
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def _cli(*args, **kw):
+    """Run the CLI in a subprocess that imports this checkout's ubrsim."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "ubrsim.cli", *args],
-        capture_output=True, text=True, **kw,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, **kw,
     )
 
 
@@ -306,6 +313,12 @@ def test_bad_sweep_value_names_its_key(text, field):
     with pytest.raises(ScenarioError) as err:
         parse_sweep_text(f"[sweep]\n{text}\n")
     assert err.value.field == field
+
+
+def test_sweep_comment_before_header_parses():
+    for text in ("# a note\n[sweep]\nsources = 2, 3\n", "# a note\nsources = 2, 3\n",
+                 "sources = 2, 3\n"):
+        assert parse_sweep_text(text).axes == (("sources", (2, 3)),)
 
 
 def test_sweep_file_rejects_other_sections():
@@ -400,8 +413,12 @@ def test_cli_sweep_with_invalid_point_emits_every_row(tmp_path):
 
 # ------------------------------------------------------------ grids and files
 
+def _table(name, configs=("lan", "wan")):
+    return [p for c in configs for p in TABLES[name][c].points()]
+
+
 def test_builtin_grids_are_pinned():
-    zero = _zero_loss_grid(("lan", "wan"))
+    zero = _table("table1")
     assert [(s.config_class, s.n_sources, s.buffer_cells, s.policy, s.r_cells, s.z)
             for s in zero] == [
         (config, n, None, Policy.TAIL_DROP, None, None)
@@ -417,22 +434,46 @@ def test_builtin_grids_are_pinned():
                     (config, n, k, Policy.SELECTIVE_DROP, 9 * k // 10, Fraction(4, 5)),
                     (config, n, k, Policy.FBA, 9 * k // 10, Fraction(4, 5)),
                 ]
-    grid = _comparison_grid(("lan", "wan"))
+    grid = _table("table2")
     assert [(s.config_class, s.n_sources, s.buffer_cells, s.policy, s.r_cells, s.z)
             for s in grid] == expected
     # Apart from the policy, every point is its class default with the
     # reverse buffer mirroring the forward one.
     for s in zero + grid:
         plain = build_scenario(config=s.config_class, sources=s.n_sources, buffer=s.buffer_cells)
-        assert replace(s, policy=Policy.TAIL_DROP, r_rule=("none",), z=None) == plain
-        assert s.policy_config(s.reverse_buffer_cells) == s.policy_config(s.buffer_cells)
+        assert replace(s, policy=Policy.TAIL_DROP, r_cells=None, reverse_r_cells=None,
+                       z=None) == plain
+        assert s.reverse_r_cells == s.r_cells
+    # --config picks one class's sweep; the default runs both, LAN first.
+    assert _table("table2", ("wan",)) == grid[len(grid) // 2:]
 
 
 def test_table3_is_an_alias_of_table2():
     parser = _build_parser()
-    assert parser.parse_args(["table1"]).grid is _zero_loss_grid
-    assert parser.parse_args(["table2"]).grid is _comparison_grid
-    assert parser.parse_args(["table3"]).grid is _comparison_grid
+    assert parser.parse_args(["table1"]).table is TABLES["table1"]
+    assert parser.parse_args(["table2"]).table is TABLES["table2"]
+    assert parser.parse_args(["table3"]).table is TABLES["table2"]
+    assert parser.parse_args(["table3", "--config", "lan"]).config == ("lan",)
+
+
+def test_table_commands_run_their_sweeps(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr("ubrsim.cli.run_sweep", lambda points, **kw: ran.append(points) or [])
+    assert main(["table2", "--config", "wan"]) == 0
+    assert ran.pop() == TABLES["table2"]["wan"].points()
+    assert "sweep: cross product of 24 points" in capsys.readouterr().err
+    assert main(["table1"]) == 0
+    assert ran.pop() == _table("table1")
+    assert "sweep: cross product of 2 + 2 points" in capsys.readouterr().err
+
+
+def test_cli_trace_writes_one_file_per_connection(tmp_path):
+    path = tmp_path / "trace.scn"
+    path.write_text("config = lan\nsources = 2\nduration_s = 0.02\n")
+    assert main(["trace", str(path), "-o", str(tmp_path / "out")]) == 0
+    for conn in (0, 1):
+        lines = (tmp_path / f"out.conn{conn}.csv").read_text().splitlines()
+        assert lines[0] == "0,512" and len(lines) > 1
 
 
 def _decimal(ns: int) -> str:
