@@ -22,10 +22,10 @@ FRAME_OVERHEAD_BYTES = 56  # 20 TCP + 20 IP + 8 LLC + 8 AAL5 trailer
 
 @dataclass(frozen=True)
 class Segment:
-    """One TCP protocol data unit; pure acks have payload_len 0."""
+    """One TCP protocol data unit; pure acks have payload_len 0. Data and
+    acks are told apart by the path that delivers them, not by a flag."""
 
     conn_id: int
-    is_ack: bool
     seq: int
     payload_len: int
     ack_no: int = 0

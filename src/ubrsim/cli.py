@@ -1,19 +1,19 @@
 """Command-line surface: single runs, sweeps (the paper's tables among them), cwnd traces.
 
-Exit codes: 0 success, 1 invalid input, 2 internal invariant violation.
+Exit codes: 0 success (also when the reader of standard output goes away
+early, as under `| head`), 1 invalid input, 2 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .engine import EngineStateError, SchedulingError
-from .scenario import ScenarioError, parse_scenario_file
+from .engine import InvariantError
+from .scenario import parse_scenario_file
 from .sim import Simulation, run_scenario
 from .sweep import SweepSpec, emit_results, parse_sweep_file, row_for, run_sweep
-from .switches import InvariantError
-from .tcp import ProtocolViolation
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -120,7 +120,7 @@ def _cmd_sweep(args) -> int:
         specs = [args.table[config] for config in args.config]
     sizes = " + ".join(str(spec.cardinality()) for spec in specs)
     print(f"sweep: cross product of {sizes} points", file=sys.stderr)
-    points = [point for spec in specs for point in spec.points()]
+    points = [point for spec in specs for point in spec.scenarios()]
     rows = run_sweep(points, parallelism=args.parallel, report=sys.stderr)
     emit_results(rows, args.format, args.output)
     return EXIT_OK
@@ -142,11 +142,18 @@ def _cmd_trace(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.cmd(args)
-    except (ScenarioError, FileNotFoundError, OSError, ValueError) as exc:
+        status = args.cmd(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # The reader closed standard output: nothing is wrong with the input.
+        # Point stdout at devnull so the flush at shutdown stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (InvariantError, SchedulingError, EngineStateError, ProtocolViolation) as exc:
+    except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

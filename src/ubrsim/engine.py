@@ -25,12 +25,9 @@ TIMER_TICK = 3
 APP_SEND = 4
 
 
-class SchedulingError(RuntimeError):
-    """An event was scheduled behind the current simulation time."""
-
-
-class EngineStateError(RuntimeError):
-    """The engine was driven while it was already dispatching."""
+class InvariantError(RuntimeError):
+    """An internal invariant of the simulator broke, in the engine or in a
+    component it drives; the run must abort (always fatal, never ignored)."""
 
 
 class EventQueue:
@@ -56,7 +53,7 @@ class EventQueue:
     def schedule(self, fire_time: int, kind: int, callback, payload=None) -> None:
         """Queue callback(payload) at fire_time ns."""
         if fire_time < self.now:
-            raise SchedulingError(
+            raise InvariantError(
                 f"event (kind={kind}) scheduled at t={fire_time} ns, behind the "
                 f"clock at t={self.now} ns"
             )
@@ -89,7 +86,7 @@ class EventQueue:
         Returns the number of events dispatched.
         """
         if self._running:
-            raise EngineStateError("run_until re-entered while dispatching")
+            raise InvariantError("run_until re-entered while dispatching")
         if end < self.now:
             raise ValueError(f"run_until({end}) is behind the clock at {self.now}")
         heap = self._heap

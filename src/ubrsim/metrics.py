@@ -29,8 +29,7 @@ def fairness_index(values) -> float:
     """Jain's index (sum x)^2 / (n * sum x^2), in [1/n, 1].
 
     1 means equal shares, 1/n means a single hog. An all-zero vector returns
-    1 by convention so sweep aggregation never divides by zero; callers that
-    care flag that case separately (see RunResult.fairness_degenerate).
+    1 by convention; RunResult flags that case as fairness_degenerate.
     """
     values = list(values)
     n = len(values)

@@ -194,7 +194,12 @@ def build_scenario(
         try:
             PolicyConfig(policy, r, z).validate(k)
         except ConfigError as exc:
-            raise ScenarioError("z" if exc.on == "z" else key, str(exc)) from None
+            message = str(exc)
+            if exc.on == "capacity" and k is not None and r_cells is None and r_fraction is None:
+                rule = (f"K - {EPD_DEFAULT_HEADROOM_CELLS}" if policy is Policy.EPD
+                        else f"floor({float(SD_FBA_DEFAULT_R_FRACTION)} K)")
+                message += f" (R defaulted to {rule}; set r_cells or r_fraction)"
+            raise ScenarioError("z" if exc.on == "z" else key, message) from None
 
     return Scenario(
         config_class=config,

@@ -8,36 +8,21 @@ runner executes independent runs in separate processes.
 Only the two shared ports queue: A.fwd (data onto the bottleneck) and B.rev
 (acks back). The per-host legs behind them, B.dst<i> to destination i and
 A.src<i> to source i, each carry one VC fed at line rate by one same-rate
-port, so they hold at most two cells and never drop (a hop raises
-InvariantError rather than diverge if one could). Each is a SerializerHop,
-not a queue: the upstream departure hands the cell straight to the hop,
-which computes its arrival, completion and host arrival times and
-reassembles it into its AAL5 frame on the spot. A host acts only on whole
-frames, so the hop schedules one CELL_ARRIVAL at the host per complete
-frame, carrying its Segment, and none for the other cells. That is two
-engine events per data cell (link arrival, bottleneck departure) plus one
-per frame.
-
-Results are identical to queued legs with per-cell delivery. Completion
-times come from the same CellClock arithmetic. A cell arriving exactly as
-the leg's last cell completes joins that busy period only if the link delay
-is at least one cell time (prop * den >= num, exact), which is the order the
-engine gave those two equal-time events when the leg was queued. A frame is
-delivered at its last cell's host arrival, scheduled as of the instant the
-leg's departure event would have scheduled that cell, so it keeps its place
-among equal-time events; the cells that completed no frame scheduled nothing
-there. RunResult still reports each leg's peak occupancy, and its zero drops,
-under the leg's name, and the hops count delivered, discarded and in-flight
-cells as of the horizon, as per-cell delivery did.
+port, so each is a switches.SerializerHop, not a queue. The hop docstring
+says how it times cells, breaks ties, delivers whole frames to the host and
+counts cells at the horizon, all as a queued leg with per-cell delivery
+would. That is two engine events per data cell (link arrival, bottleneck
+departure) plus one per frame. RunResult reports each leg under its name,
+with its peak occupancy and zero drops.
 """
 
 from __future__ import annotations
 
 from .aal5 import CellLink, Segment, segment_to_cells
-from .engine import APP_SEND, CELL_ARRIVAL, TIMER_TICK, EventQueue, NS_PER_SEC
+from .engine import APP_SEND, CELL_ARRIVAL, TIMER_TICK, EventQueue, InvariantError, NS_PER_SEC
 from .metrics import RunResult
 from .scenario import Scenario
-from .switches import DropReason, InvariantError, OutputPort, PolicyConfig, SerializerHop
+from .switches import DropReason, OutputPort, PolicyConfig, SerializerHop
 from .tcp import TcpReceiver, TcpSender
 
 
@@ -53,7 +38,6 @@ class Simulation:
         self.scenario = scenario
         self.engine = EventQueue()
         self.tick_ns = scenario.tick_ns
-        self.audit = audit
         n = scenario.n_sources
         rate = scenario.link_rate_bps
         prop = scenario.link_delay_ns
@@ -89,11 +73,11 @@ class Simulation:
             for i in range(n)
         ]
         self.a_fwd_port = OutputPort(
-            eng, "A.fwd", n, fwd_cap, fwd_cfg, rate,
+            eng, "A.fwd", fwd_cap, fwd_cfg, rate,
             [h.on_cell for h in self.b_dst_hops], audit,
         )
         self.b_rev_port = OutputPort(
-            eng, "B.rev", n, rev_cap, rev_cfg, rate,
+            eng, "B.rev", rev_cap, rev_cfg, rate,
             [h.on_cell for h in self.a_src_hops], audit,
         )
         self.ports = [self.a_fwd_port, self.b_rev_port]
@@ -124,7 +108,7 @@ class Simulation:
         """A whole data frame reaches its destination host: ack it."""
         conn = seg.conn_id
         ack_no = self.receivers[conn].on_segment(seg.seq, seg.payload_len)
-        self.emit_segments((Segment(conn, True, 0, 0, ack_no),), self.ack_links[conn])
+        self.emit_segments((Segment(conn, 0, 0, ack_no),), self.ack_links[conn])
 
     def _on_ack(self, seg: Segment) -> None:
         """A whole ack frame reaches its source host."""

@@ -44,7 +44,6 @@ class ResultRow:
 
 
 _COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name != "error")
-CSV_HEADER = ",".join(_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -54,22 +53,14 @@ class SweepSpec:
     def cardinality(self) -> int:
         return math.prod(len(values) for _, values in self.axes)
 
-    def _combinations(self):
-        """build_scenario keyword arguments of each point, in cross-product order."""
-        names = [name for name, _ in self.axes]
-        for combo in itertools.product(*(values for _, values in self.axes)):
-            yield dict(zip(names, combo))
-
-    def scenarios(self) -> list[Scenario]:
-        """Expand the cross product; an invalid combination raises ScenarioError."""
-        return [build_scenario(**point) for point in self._combinations()]
-
-    def points(self) -> list:
+    def scenarios(self) -> list[Scenario | ResultRow]:
         """The cross product as run_sweep takes it: the Scenario of each valid
         combination and, in place of each invalid one, the error row that
         reports it, so one bad combination does not sink the sweep."""
-        out: list = []
-        for point in self._combinations():
+        names = [name for name, _ in self.axes]
+        out: list[Scenario | ResultRow] = []
+        for combo in itertools.product(*(values for _, values in self.axes)):
+            point = dict(zip(names, combo))
             try:
                 out.append(build_scenario(**point))
             except ScenarioError as exc:
@@ -160,7 +151,7 @@ def run_sweep(
     """Run each distinct scenario once; rows come back one per point, in
     input order, regardless of parallel completion order, and points that
     are the same Scenario share one row. A ResultRow among the points (an
-    invalid combination's error row, see SweepSpec.points) is passed
+    invalid combination's error row, see SweepSpec.scenarios) is passed
     through. In parallel, the longest runs are submitted first."""
     points = list(points)
     distinct = list(dict.fromkeys(p for p in points if isinstance(p, Scenario)))
@@ -182,7 +173,7 @@ def run_sweep(
 
 
 def _column_values(row: ResultRow):
-    """The row's output columns in CSV_HEADER order; each format renders
+    """The row's output columns in _COLUMNS order; each format renders
     floats to 4 decimals and None as empty."""
     for name in _COLUMNS:
         value = getattr(row, name)

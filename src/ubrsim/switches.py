@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 
-from .engine import CELL_ARRIVAL, CELL_DEPARTURE
+from .engine import CELL_ARRIVAL, CELL_DEPARTURE, InvariantError
 from .aal5 import CellClock, Frame, Reassembler
 
 
@@ -44,10 +44,6 @@ class DropReason(IntEnum):
 
 _ADMITTED = DropReason.NONE  # a global is cheaper to read than an enum member
 UNBOUNDED = sys.maxsize  # the integer K of an unbounded buffer
-
-
-class InvariantError(RuntimeError):
-    """A switch accounting invariant broke (always fatal, never ignored)."""
 
 
 class ConfigError(ValueError):
@@ -101,26 +97,24 @@ class OutputPort:
     each accepted cell as two entries, the frame and its index, so queueing
     a cell allocates nothing.
 
-    Next-hop contract: next_hop holds one callable per VC. When a cell
-    finishes transmission, the port calls next_hop[vc](frame, idx) at that
-    instant, before it starts serving the next cell. The port itself has no
-    propagation delay; the next hop owns the link that leaves the port and
-    schedules whatever the cell does next.
+    Next-hop contract: next_hop holds one callable per VC, so its length is
+    the port's VC count. When a cell finishes transmission, the port calls
+    next_hop[vc](frame, idx) at that instant, before it starts serving the
+    next cell. The port itself has no propagation delay; the next hop owns
+    the link that leaves the port and schedules whatever the cell does next.
     """
 
     def __init__(
         self,
         engine,
         name: str,
-        n_vcs: int,
         capacity: int | None,
         cfg: PolicyConfig,
         rate_bps: int,
         next_hop: list,
         audit: bool = False,
     ) -> None:
-        if len(next_hop) != n_vcs:
-            raise ValueError(f"{name}: {len(next_hop)} next hops for {n_vcs} VCs")
+        n_vcs = len(next_hop)
         self.engine = engine
         self.name = name
         self.k = UNBOUNDED if capacity is None else capacity

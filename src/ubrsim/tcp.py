@@ -8,10 +8,7 @@ unacknowledged byte. Duplicate acks are ignored.
 from __future__ import annotations
 
 from .aal5 import Segment
-
-
-class ProtocolViolation(RuntimeError):
-    """An endpoint observed an impossible ack; the run must abort."""
+from .engine import InvariantError
 
 
 class RttEstimator:
@@ -24,7 +21,7 @@ class RttEstimator:
 
     __slots__ = ("srtt8", "rttvar4", "rto", "rto_max", "initialized")
 
-    def __init__(self, rto_initial: int = 3, rto_max: int = 640) -> None:
+    def __init__(self, rto_initial: int, rto_max: int) -> None:
         self.srtt8 = 0
         self.rttvar4 = 0
         self.rto = rto_initial
@@ -61,17 +58,17 @@ class TcpSender:
     def __init__(
         self,
         conn_id: int,
-        mss: int = 512,
-        rcvwnd: int = 65535,
-        initial_ssthresh: int | None = None,
-        rto_initial: int = 3,
-        rto_max: int = 640,
+        mss: int,
+        rcvwnd: int,
+        initial_ssthresh: int,
+        rto_initial: int,
+        rto_max: int,
     ) -> None:
         self.conn_id = conn_id
         self.mss = mss
         self.rcvwnd = rcvwnd
         self.cwnd = mss
-        self.ssthresh = rcvwnd if initial_ssthresh is None else initial_ssthresh
+        self.ssthresh = initial_ssthresh
         self.snd_una = 0
         self.snd_nxt = 0
         self.max_sent = 0
@@ -87,15 +84,13 @@ class TcpSender:
         self.goback_checks: list[tuple[int, int]] = []
         self._retx_pending = False
 
-    def try_send(self, now_tick: int, arm_tick: int | None = None) -> list[Segment]:
+    def try_send(self, now_tick: int, arm_tick: int) -> list[Segment]:
         """Emit every full segment the window permits, advancing snd_nxt.
 
         now_tick is the floor tick (RTT samples count whole elapsed ticks);
         arm_tick is the next tick boundary, where a freshly started timer
         begins counting (mid-interval arming is invisible to a coarse timer).
         """
-        if arm_tick is None:
-            arm_tick = now_tick
         mss = self.mss
         limit = self.snd_una + min(self.cwnd, self.rcvwnd)
         nxt = self.snd_nxt
@@ -107,7 +102,7 @@ class TcpSender:
                 # Karn: time only segments sent exactly once.
                 self.timed_seq = nxt
                 self.timed_tick = now_tick
-            out.append(Segment(self.conn_id, False, nxt, mss))
+            out.append(Segment(self.conn_id, nxt, mss))
             nxt += mss
         if out:
             if self._retx_pending:
@@ -120,15 +115,13 @@ class TcpSender:
                 self.timer_expiry = arm_tick + self.est.rto
         return out
 
-    def on_ack(self, ack_no: int, now_tick: int, arm_tick: int | None = None) -> bool:
+    def on_ack(self, ack_no: int, now_tick: int, arm_tick: int) -> bool:
         """Process one cumulative ack; returns True if it acked new data."""
-        if arm_tick is None:
-            arm_tick = now_tick
         if ack_no > self.max_sent:
             # Checked against the highest byte ever transmitted: after a
             # go-back-N rewind, old in-flight copies can legitimately draw
             # cumulative acks beyond the rewound snd_nxt.
-            raise ProtocolViolation(
+            raise InvariantError(
                 f"conn {self.conn_id}: ack {ack_no} beyond max sent {self.max_sent}"
             )
         if ack_no <= self.snd_una:
@@ -181,7 +174,7 @@ class TcpReceiver:
 
     __slots__ = ("mss", "rcv_nxt", "cache")
 
-    def __init__(self, mss: int = 512) -> None:
+    def __init__(self, mss: int) -> None:
         self.mss = mss
         self.rcv_nxt = 0
         self.cache: set[int] = set()

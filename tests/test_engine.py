@@ -7,9 +7,8 @@ import pytest
 from ubrsim.engine import (
     APP_SEND,
     CELL_ARRIVAL,
-    EngineStateError,
     EventQueue,
-    SchedulingError,
+    InvariantError,
 )
 
 
@@ -39,7 +38,7 @@ def test_scheduling_in_the_past_fails_loudly():
     eng = EventQueue()
     eng.schedule(10, APP_SEND, lambda _: None)
     eng.run_until(50)
-    with pytest.raises(SchedulingError):
+    with pytest.raises(InvariantError, match="behind the clock"):
         eng.schedule(49, APP_SEND, lambda _: None)
 
 
@@ -82,7 +81,7 @@ def test_reentrant_run_rejected():
         eng.run_until(10)
 
     eng.schedule(1, APP_SEND, reenter)
-    with pytest.raises(EngineStateError):
+    with pytest.raises(InvariantError, match="re-entered"):
         eng.run_until(5)
 
 

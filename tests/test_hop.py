@@ -8,8 +8,8 @@ import random
 import pytest
 
 from ubrsim.aal5 import Frame, Reassembler, Segment
-from ubrsim.engine import APP_SEND, CELL_ARRIVAL, EventQueue
-from ubrsim.switches import InvariantError, OutputPort, Policy, PolicyConfig, SerializerHop
+from ubrsim.engine import APP_SEND, CELL_ARRIVAL, EventQueue, InvariantError
+from ubrsim.switches import OutputPort, Policy, PolicyConfig, SerializerHop
 
 RATE = 155_520_000  # cell time 662500/243 ns, about 2726.34 ns
 TAIL = PolicyConfig(Policy.TAIL_DROP)
@@ -18,7 +18,7 @@ TAIL = PolicyConfig(Policy.TAIL_DROP)
 def _frame(vc, pid, n):
     """The n cells of one AAL5 frame, carrying a Segment that names it, as
     (frame, index) pairs."""
-    frame = Frame(Segment(vc, False, pid, 0), n)
+    frame = Frame(Segment(vc, pid, 0), n)
     return [(frame, i) for i in range(n)]
 
 
@@ -39,7 +39,7 @@ class _QueuedLeg:
         self.eng = eng
         self.prop = prop
         self.sink = sink
-        self.port = OutputPort(eng, "leg", n_vcs, None, TAIL, RATE, [self._depart] * n_vcs)
+        self.port = OutputPort(eng, "leg", None, TAIL, RATE, [self._depart] * n_vcs)
         self.reasm = Reassembler()
         self.cells = self.delivered = 0
 
@@ -88,7 +88,7 @@ def _drive(prop, feed, n_vcs=1, hop=True, capacity=None, ends=(10**9,)):
                 for v in range(n_vcs)]
     else:
         legs = [_QueuedLeg(eng, prop, sink, n_vcs) for _ in range(n_vcs)]
-    upstream = OutputPort(eng, "up", n_vcs, None, TAIL, RATE, [leg.on_cell for leg in legs])
+    upstream = OutputPort(eng, "up", None, TAIL, RATE, [leg.on_cell for leg in legs])
     feed(eng, upstream)
     snapshots = []
     for end in ends:
@@ -235,7 +235,7 @@ def test_hop_keeps_only_cells_in_flight():
     cells = [(0, c) for pid in range(400) for c in _frame(0, pid, 5)]
     eng = EventQueue()
     hop = SerializerHop(eng, "hop", None, TAIL, RATE, prop, lambda seg: None)
-    upstream = OutputPort(eng, "up", 1, None, TAIL, RATE, [hop.on_cell])
+    upstream = OutputPort(eng, "up", None, TAIL, RATE, [hop.on_cell])
     _feed_cells(cells)(eng, upstream)
     eng.run_until(10**9)
     assert hop.cells == 2000 and hop.delivered(10**9) == 2000

@@ -9,10 +9,8 @@ from fractions import Fraction
 import pytest
 
 from ubrsim.aal5 import Frame, Segment
-from ubrsim.engine import EventQueue
-from ubrsim.switches import (
-    ConfigError, DropReason, InvariantError, OutputPort, Policy, PolicyConfig,
-)
+from ubrsim.engine import EventQueue, InvariantError
+from ubrsim.switches import ConfigError, DropReason, OutputPort, Policy, PolicyConfig
 
 RATE = 155_520_000
 NONE = DropReason.NONE
@@ -20,7 +18,7 @@ BUFFER_FULL = DropReason.BUFFER_FULL
 EPD_THRESHOLD = DropReason.EPD_THRESHOLD
 LOAD_RATIO = DropReason.LOAD_RATIO
 CONTINUED = DropReason.CONTINUED_PACKET_DISCARD
-_SEG = Segment(0, False, 0, 512)
+_SEG = Segment(0, 0, 512)
 
 
 def _port(policy, k, r=None, z=None):
@@ -205,7 +203,7 @@ def _mk_port(policy, capacity, n_vcs=3, r=None, z=None, audit=True):
     eng = EventQueue()
     sink = []
     cfg = PolicyConfig(policy, r, z)
-    port = OutputPort(eng, "p", n_vcs, capacity, cfg, RATE,
+    port = OutputPort(eng, "p", capacity, cfg, RATE,
                       [lambda frame, idx: sink.append((frame, idx))] * n_vcs, audit=audit)
     return eng, port, sink
 
@@ -213,7 +211,7 @@ def _mk_port(policy, capacity, n_vcs=3, r=None, z=None, audit=True):
 def _packet_cells(vc, n=12):
     """The n cells of one frame on VC vc: n references to one Frame, which
     the port numbers 0..n-1 as they arrive."""
-    return [Frame(Segment(vc, False, 0, 512), n)] * n
+    return [Frame(Segment(vc, 0, 512), n)] * n
 
 
 def test_accepted_cells_depart_in_fifo_order():

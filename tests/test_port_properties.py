@@ -44,7 +44,7 @@ def test_port_invariants_under_random_frame_trains(run):
     eng = EventQueue()
     sent: dict[Frame, list[int]] = {}
     port = OutputPort(
-        eng, "p", n_vcs, k, cfg, RATE,
+        eng, "p", k, cfg, RATE,
         [lambda frame, idx: sent.setdefault(frame, []).append(idx)] * n_vcs,
         audit=True,
     )
@@ -59,7 +59,7 @@ def test_port_invariants_under_random_frame_trains(run):
         assert port.x <= k
         frame = current[vc]
         if frame is None or frame.arrived > frame.last:
-            frame = current[vc] = Frame(Segment(vc, False, 0, 0), size)
+            frame = current[vc] = Frame(Segment(vc, 0, 0), size)
         x, idx = port.x, frame.arrived
         decision = port.on_cell_arrival(frame)
         assert frame.arrived == idx + 1

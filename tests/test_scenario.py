@@ -201,11 +201,21 @@ def test_thresholds_are_resolved_at_build_time():
     (dict(buffer=1000, policy="sd", z=Fraction(0)), "z"),
     (dict(buffer=1000, policy="fba", r_cells=1000, z=Fraction(-1)), "z"),
     (dict(buffer=1000, policy="epd", r_cells=0), "buffer"),
+    (dict(buffer=100, policy="epd"), "buffer"),
+    (dict(buffer=1, policy="sd"), "buffer"),
+    (dict(buffer=1000, reverse_buffer=1, policy="fba"), "reverse_buffer"),
 ])
 def test_policy_rule_failures_name_the_key(kwargs, field):
     with pytest.raises(ScenarioError) as err:
         build_scenario(**kwargs)
     assert err.value.field == field
+    # A threshold the user did not set is named as a default, with its rule.
+    message = str(err.value)
+    defaulted = "R=" in message and not {"r_cells", "r_fraction"} & kwargs.keys()
+    assert ("set r_cells or r_fraction" in message) == defaulted
+    if defaulted:
+        rule = "K - 200" if kwargs["policy"] == "epd" else "floor(0.9 K)"
+        assert f"(R defaulted to {rule}; " in message
 
 
 def test_defaulted_initial_ssthresh_error_names_rcvwnd():

@@ -137,7 +137,7 @@ def test_acks_survive_tight_reverse_buffer():
 
 
 def test_conservation_is_checked_without_audit():
-    from ubrsim.switches import InvariantError
+    from ubrsim.engine import InvariantError
 
     sim = Simulation(_tiny(buffer=None))
 

@@ -16,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ubrsim.cli import TABLES, _build_parser, main
+from ubrsim.engine import InvariantError
 from ubrsim.scenario import ScenarioError, build_scenario, parse_scenario_text
-from ubrsim.sim import run_scenario
+from ubrsim.sim import Simulation, run_scenario
 from ubrsim.sweep import (
-    CSV_HEADER,
     ResultRow,
+    _error_row,
     SweepSpec,
     emit_results,
     parse_sweep_text,
@@ -32,6 +33,8 @@ from ubrsim.sweep import (
 from ubrsim.switches import Policy
 
 TINY = dict(config="lan", sources=2, duration_ns=40_000_000)
+CSV_HEADER = ("config,n_sources,buffer_cells,policy,r_fraction,z,efficiency,fairness,"
+              "max_queue_cells,drops,reassembly_discards,retransmits")
 
 
 def test_sweep_cardinality_matches_cross_product():
@@ -108,7 +111,7 @@ def test_sweep_runs_each_distinct_scenario_once(monkeypatch):
         "sources = 2\nbuffer = 80\npolicy = tail_drop, epd\n"
         "r_fraction = 0.5, 0.9\nz = 0.5, 0.8\nduration_s = 0.02\n"
     )
-    points = spec.points()
+    points = spec.scenarios()
     rows = run_sweep(points)
     assert len(points) == len(rows) == 8
     assert calls == list(dict.fromkeys(points)) and len(calls) == 3
@@ -206,6 +209,14 @@ def test_json_mirrors_csv_fields():
     assert data[0]["efficiency"] == round(row.efficiency, 4)
 
 
+def test_error_row_defaults_are_build_scenarios():
+    # A point that leaves a parameter out reports build_scenario's default.
+    columns = ("config", "n_sources", "buffer_cells", "policy", "r_fraction", "z")
+    default = row_for(build_scenario(), run_scenario(build_scenario(**TINY)))
+    error_row = _error_row(ScenarioError("sources", "synthetic"))
+    assert [getattr(error_row, c) for c in columns] == [getattr(default, c) for c in columns]
+
+
 def test_error_rows_keep_configuration_fields():
     bad = ResultRow(
         config="lan", n_sources=5, buffer_cells=10, policy="epd",
@@ -235,12 +246,17 @@ def test_emit_results_rejects_unknown_format():
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _cli(*args, **kw):
-    """Run the CLI in a subprocess that imports this checkout's ubrsim."""
+def _cli_env() -> dict:
+    """The environment of a subprocess that imports this checkout's ubrsim."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _cli(*args, **kw):
+    """Run the CLI in a subprocess."""
     return subprocess.run(
         [sys.executable, "-m", "ubrsim.cli", *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, **kw,
+        capture_output=True, text=True, env=_cli_env(), **kw,
     )
 
 
@@ -354,6 +370,53 @@ def test_cli_usage_errors_exit_1(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, scenario, lines_read", [
+    # About 150 KB of cwnd trace, more than a 64 KiB pipe holds, so the CLI
+    # is still writing when the reader closes the pipe after one line.
+    ("trace", "sources = 5\nrcvwnd = 8000000\nduration_s = 0.3\nbuffer = infinite\n", 1),
+    # One short row, still in stdout's buffer when the command returns.
+    ("run", "sources = 2\nduration_s = 0.02\n", 0),
+], ids=["trace-past-the-pipe-buffer", "run-still-buffered"])
+def test_cli_exits_0_quietly_when_the_reader_goes_away(tmp_path, command, scenario, lines_read):
+    path = tmp_path / "x.scn"
+    path.write_text(scenario)
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ubrsim.cli", command, str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def _break_every_run(monkeypatch):
+    def run(self):
+        raise InvariantError("synthetic breakage")
+
+    monkeypatch.setattr(Simulation, "run", run)
+
+
+def test_invariant_error_in_a_run_exits_2(tmp_path, monkeypatch, capsys):
+    _break_every_run(monkeypatch)
+    assert main(["run", _write_tiny_scenario(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "internal invariant violation: synthetic breakage\n"
+
+
+def test_invariant_error_in_a_sweep_is_one_error_row(tmp_path, monkeypatch, capsys):
+    _break_every_run(monkeypatch)
+    sweep = tmp_path / "one.sweep"
+    sweep.write_text("[sweep]\nsources = 2\nduration_s = 0.02\n")
+    assert main(["sweep", str(sweep), "--format", "json"]) == 0
+    [row] = json.loads(capsys.readouterr().out)
+    assert row["error"] == "InvariantError: synthetic breakage"
+
+
 def test_cli_trace_emits_time_cwnd_lines(tmp_path):
     path = tmp_path / "trace.scn"
     path.write_text("config = lan\nsources = 2\nduration_s = 0.02\nbuffer = infinite\n")
@@ -374,9 +437,7 @@ def test_invalid_sweep_point_becomes_one_error_row():
         ("policy", ("tail_drop", "epd")),
         ("duration_ns", (20_000_000,)),
     ))
-    with pytest.raises(ScenarioError):
-        spec.scenarios()
-    rows = run_sweep(spec.points())
+    rows = run_sweep(spec.scenarios())
     assert [(r.buffer_cells, r.policy) for r in rows] == [
         (None, "tail_drop"), (None, "epd"), (500, "tail_drop"), (500, "epd"),
     ]
@@ -390,7 +451,7 @@ def test_invalid_sweep_point_becomes_one_error_row():
     ("config = WAN\npolicy = EPD\nz = 1/2", ("wan", 5, None, "epd", None, 0.5)),
 ])
 def test_error_row_shows_defaults_and_lower_case_names(text, row):
-    [error_row] = parse_sweep_text(text).points()
+    [error_row] = parse_sweep_text(text).scenarios()
     assert error_row.error is not None
     assert (error_row.config, error_row.n_sources, error_row.buffer_cells,
             error_row.policy, error_row.r_fraction, error_row.z) == row
@@ -414,7 +475,7 @@ def test_cli_sweep_with_invalid_point_emits_every_row(tmp_path):
 # ------------------------------------------------------------ grids and files
 
 def _table(name, configs=("lan", "wan")):
-    return [p for c in configs for p in TABLES[name][c].points()]
+    return [p for c in configs for p in TABLES[name][c].scenarios()]
 
 
 def test_builtin_grids_are_pinned():
@@ -460,7 +521,7 @@ def test_table_commands_run_their_sweeps(monkeypatch, capsys):
     ran = []
     monkeypatch.setattr("ubrsim.cli.run_sweep", lambda points, **kw: ran.append(points) or [])
     assert main(["table2", "--config", "wan"]) == 0
-    assert ran.pop() == TABLES["table2"]["wan"].points()
+    assert ran.pop() == TABLES["table2"]["wan"].scenarios()
     assert "sweep: cross product of 24 points" in capsys.readouterr().err
     assert main(["table1"]) == 0
     assert ran.pop() == _table("table1")
@@ -505,10 +566,11 @@ _SWEEP_FILES = st.one_of(
 
 
 def _outcome(build):
+    """The Scenario built, or the error a sweep row reports in its place."""
     try:
-        return build(), None
+        return build()
     except ScenarioError as exc:
-        return None, exc.field
+        return f"ScenarioError: {exc}"
 
 
 @settings(max_examples=300, deadline=None)
@@ -521,6 +583,6 @@ def test_one_value_sweep_builds_the_scenario_file_scenario(values):
     ) + "[policy]\n" + "".join(
         f"{policy_keys[k]} = {v}\n" for k, v in values.items() if k in policy_keys
     )
-    from_sweep = _outcome(lambda: parse_sweep_text(sweep).scenarios())
-    from_file = _outcome(lambda: [parse_scenario_text(scenario)])
-    assert from_sweep == from_file
+    [point] = parse_sweep_text(sweep).scenarios()
+    from_sweep = point.error if isinstance(point, ResultRow) else point
+    assert from_sweep == _outcome(lambda: parse_scenario_text(scenario))

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from ubrsim.tcp import ProtocolViolation, RttEstimator, TcpReceiver, TcpSender
+from ubrsim.engine import InvariantError
+from ubrsim.tcp import RttEstimator, TcpReceiver, TcpSender
 
 MSS = 512
 
@@ -14,17 +15,20 @@ MSS = 512
 def _sender(**kw):
     kw.setdefault("mss", MSS)
     kw.setdefault("rcvwnd", 65535)
+    kw.setdefault("initial_ssthresh", kw["rcvwnd"])
+    kw.setdefault("rto_initial", 3)
+    kw.setdefault("rto_max", 640)
     return TcpSender(0, **kw)
 
 
 def _drain(sender, tick=0):
-    return sender.try_send(tick)
+    return sender.try_send(tick, tick)
 
 
 # -------------------------------------------------------------- rtt estimator
 
 def test_first_sample_seeds_estimator():
-    est = RttEstimator()
+    est = RttEstimator(3, 640)
     est.sample(2)
     assert est.srtt8 >> 3 == 2
     assert est.rttvar4 == 4  # rttvar = 1 tick, stored times 4
@@ -32,7 +36,7 @@ def test_first_sample_seeds_estimator():
 
 
 def test_constant_samples_converge():
-    est = RttEstimator()
+    est = RttEstimator(3, 640)
     for _ in range(100):
         est.sample(5)
     assert est.srtt8 >> 3 == 5
@@ -41,7 +45,7 @@ def test_constant_samples_converge():
 
 
 def test_zero_rtt_floors_at_one_tick():
-    est = RttEstimator()
+    est = RttEstimator(3, 640)
     for _ in range(10):
         est.sample(0)
     assert est.rto == 1
@@ -65,7 +69,7 @@ def test_window_arithmetic_two_segments():
     out = _drain(s)
     assert [seg.seq for seg in out] == [0, 512]
     assert s.snd_nxt == 1024
-    assert all(seg.payload_len == MSS and not seg.is_ack for seg in out)
+    assert all(seg.payload_len == MSS for seg in out)
 
 
 def test_full_window_emits_nothing():
@@ -91,7 +95,7 @@ def test_slow_start_doubles_per_window_of_acks():
     s.ssthresh = 64 * MSS
     _drain(s)
     for ack in (512, 1024, 1536, 2048):
-        s.on_ack(ack, 0)
+        s.on_ack(ack, 0, 0)
     assert s.cwnd == 8 * MSS
 
 
@@ -101,7 +105,7 @@ def test_congestion_avoidance_adds_one_mss_per_window_of_acks():
     s.ssthresh = 8 * MSS  # at/above threshold: linear region
     _drain(s)
     for i in range(1, 9):
-        s.on_ack(i * 512, 0)
+        s.on_ack(i * 512, 0, 0)
     assert s.cwnd == 9 * MSS
 
 
@@ -109,12 +113,12 @@ def test_duplicate_acks_change_nothing():
     s = _sender()
     s.cwnd = 4 * MSS
     _drain(s)
-    s.on_ack(512, 0)
+    s.on_ack(512, 0, 0)
     cwnd = s.cwnd
     nxt = s.snd_nxt
     timer = s.timer_expiry
     for _ in range(3):
-        assert s.on_ack(512, 0) is False
+        assert s.on_ack(512, 0, 0) is False
     assert s.cwnd == cwnd and s.snd_nxt == nxt and s.timeouts == 0
     assert s.snd_una == 512 and s.timer_expiry == timer
 
@@ -122,8 +126,8 @@ def test_duplicate_acks_change_nothing():
 def test_ack_beyond_snd_nxt_aborts():
     s = _sender()
     _drain(s)
-    with pytest.raises(ProtocolViolation):
-        s.on_ack(5120, 0)
+    with pytest.raises(InvariantError, match="beyond max sent"):
+        s.on_ack(5120, 0, 0)
 
 
 def test_cumulative_ack_fast_forwards_snd_nxt():
@@ -133,8 +137,8 @@ def test_cumulative_ack_fast_forwards_snd_nxt():
     _drain(s)
     s.on_tick(s.timer_expiry)  # force timeout: snd_nxt back to 0
     assert s.snd_nxt == 0
-    s.try_send(s.timer_expiry)  # retransmit one segment (cwnd is 1 mss)
-    s.on_ack(4 * 512, s.timer_expiry)
+    s.try_send(s.timer_expiry, s.timer_expiry)  # retransmit one segment (cwnd is 1 mss)
+    s.on_ack(4 * 512, s.timer_expiry, s.timer_expiry)
     assert s.snd_una == 2048 and s.snd_nxt == 2048
 
 
@@ -193,10 +197,10 @@ def test_goback_n_retransmits_from_snd_una():
     s = _sender()
     s.cwnd = 4 * MSS
     _drain(s)
-    s.on_ack(1024, 0)
+    s.on_ack(1024, 0, 0)
     s.on_tick(s.timer_expiry)
     assert s.snd_nxt == s.snd_una == 1024
-    out = s.try_send(s.timer_expiry)
+    out = s.try_send(s.timer_expiry, s.timer_expiry)
     assert out[0].seq == 1024
     assert s.retransmits >= 1
     assert s.goback_checks[-1] == (1024, 1024)
@@ -221,21 +225,21 @@ def test_retransmitted_segments_never_sampled():
     timeout_tick = s.timer_expiry
     s.on_tick(timeout_tick)  # timeout wipes the in-flight sample
     assert s.timed_seq is None
-    s.try_send(timeout_tick)  # go-back-N resend of seq 0: not timed
+    s.try_send(timeout_tick, timeout_tick)  # go-back-N resend of seq 0: not timed
     assert s.timed_seq is None
     assert not s.est.initialized
-    s.on_ack(512, timeout_tick + 1)
+    s.on_ack(512, timeout_tick + 1, timeout_tick + 1)
     assert not s.est.initialized  # ack of a resent segment leaves it untouched
     # fresh data beyond max_sent starts a new sample
-    s.try_send(timeout_tick + 1)
+    s.try_send(timeout_tick + 1, timeout_tick + 1)
     assert s.timed_seq is not None
 
 
 def test_sample_taken_for_fresh_segment():
     s = _sender()
     s.cwnd = 2 * MSS
-    s.try_send(3)
-    s.on_ack(512, 5)
+    s.try_send(3, 3)
+    s.on_ack(512, 5, 5)
     assert s.est.initialized
     assert s.est.srtt8 >> 3 == 2
 
@@ -287,7 +291,7 @@ def test_window_invariants_under_random_traffic():
     for _ in range(3000):
         action = rng.random()
         if action < 0.55:
-            for seg in s.try_send(tick):
+            for seg in s.try_send(tick, tick):
                 in_flight.append(seg.seq)
         elif action < 0.9 and in_flight:
             # deliver a random prefix slice with random loss
@@ -296,7 +300,7 @@ def test_window_invariants_under_random_traffic():
                 seq = in_flight.pop(0)
                 if rng.random() < 0.8:
                     receiver.on_segment(seq, MSS)
-            s.on_ack(receiver.rcv_nxt, tick)
+            s.on_ack(receiver.rcv_nxt, tick, tick)
         else:
             tick += 1
             if s.on_tick(tick):
