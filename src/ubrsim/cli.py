@@ -67,35 +67,31 @@ def _build_parser() -> argparse.ArgumentParser:
                     "with frame-aware drop policies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    sweeps = argparse.ArgumentParser(add_help=False, parents=[output])
+    sweeps.add_argument("--parallel", type=positive_int, default=1, metavar="N",
+                        help="independent runs to execute concurrently")
 
-    run_p = sub.add_parser("run", help="execute one scenario file")
+    run_p = sub.add_parser("run", parents=[output], help="execute one scenario file")
     run_p.set_defaults(cmd=_cmd_run)
     run_p.add_argument("scenario", help="scenario file (key = value text)")
-    run_p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    run_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    run_p.add_argument("--audit", action="store_true",
-                       help="recheck buffer accounting after every mutation (slower)")
 
-    sweep_p = sub.add_parser("sweep", help="execute the cross product of a sweep file")
+    sweep_p = sub.add_parser("sweep", parents=[sweeps],
+                             help="execute the cross product of a sweep file")
     sweep_p.set_defaults(cmd=_cmd_sweep, table=None)
     sweep_p.add_argument("sweep", help="sweep file with value lists to cross")
-    sweep_p.add_argument("-o", "--output", default=None)
-    sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep_p.add_argument("--parallel", type=positive_int, default=1, metavar="N",
-                         help="independent runs to execute concurrently")
 
     for names, help_text in (
         (("table1",), "zero-loss grid: infinite buffers, 5/15 sources, LAN/WAN"),
         (("table2", "table3"), "comparative grid: all four policies across buffer sizes; "
                                "table3 is an alias (read the fairness column)"),
     ):
-        t = sub.add_parser(names[0], aliases=names[1:], help=help_text)
+        t = sub.add_parser(names[0], aliases=names[1:], parents=[sweeps], help=help_text)
         t.set_defaults(cmd=_cmd_sweep, table=TABLES[names[0]])
         t.add_argument("--config", type=_configs_arg, default=("lan", "wan"),
                        help="lan, wan, or both (default both)")
-        t.add_argument("-o", "--output", default=None)
-        t.add_argument("--format", choices=("csv", "json"), default="csv")
-        t.add_argument("--parallel", type=positive_int, default=1, metavar="N")
 
     trace_p = sub.add_parser("trace", help="emit per-connection cwnd traces for one scenario")
     trace_p.set_defaults(cmd=_cmd_trace)
@@ -107,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     scenario = parse_scenario_file(args.scenario)
-    result = run_scenario(scenario, audit=args.audit)
+    result = run_scenario(scenario)
     emit_results([row_for(scenario, result)], args.format, args.output)
     return EXIT_OK
 
@@ -118,10 +114,11 @@ def _cmd_sweep(args) -> int:
         specs = [parse_sweep_file(args.sweep)]
     else:
         specs = [args.table[config] for config in args.config]
-    sizes = " + ".join(str(spec.cardinality()) for spec in specs)
+    expanded = [spec.scenarios() for spec in specs]
+    sizes = " + ".join(str(len(points)) for points in expanded)
     print(f"sweep: cross product of {sizes} points", file=sys.stderr)
-    points = [point for spec in specs for point in spec.scenarios()]
-    rows = run_sweep(points, parallelism=args.parallel, report=sys.stderr)
+    rows = run_sweep([point for points in expanded for point in points],
+                     parallelism=args.parallel, report=sys.stderr)
     emit_results(rows, args.format, args.output)
     return EXIT_OK
 

@@ -15,7 +15,7 @@ NS_PER_MS = 1_000_000
 NS_PER_US = 1_000
 
 # Event kind tags. The engine ignores them; diagnostics and end-of-run
-# audits use them to classify queued events. A CELL_ARRIVAL entry's payload
+# checks use them to classify queued events. A CELL_ARRIVAL entry's payload
 # is the aal5.Frame of one in-flight cell (the cell is a reference to its
 # frame) or, when a serializer hop delivers to a host, the Segment of a whole
 # reassembled frame.

@@ -31,7 +31,7 @@ class ScenarioError(ValueError):
         self.field = field
 
 
-_POLICY_ALIASES = {
+POLICY_ALIASES = {
     "ubr": Policy.TAIL_DROP,
     "tail_drop": Policy.TAIL_DROP,
     "epd": Policy.EPD,
@@ -120,7 +120,7 @@ def build_scenario(
 
     if isinstance(policy, str):
         try:
-            policy = _POLICY_ALIASES[policy.lower()]
+            policy = POLICY_ALIASES[policy.lower()]
         except KeyError:
             raise ScenarioError("policy", f"unknown policy {policy!r}") from None
 

@@ -14,6 +14,10 @@ counts cells at the horizon, all as a queued leg with per-cell delivery
 would. That is two engine events per data cell (link arrival, bottleneck
 departure) plus one per frame. RunResult reports each leg under its name,
 with its peak occupancy and zero drops.
+
+Every run checks itself, raising InvariantError: a port rejects a frame
+crossing it twice, a sender a post-timeout emission not at snd_una, and the
+run ends by checking each port's accounting and cell conservation.
 """
 
 from __future__ import annotations
@@ -29,12 +33,7 @@ from .tcp import TcpReceiver, TcpSender
 class Simulation:
     """One fully wired run. Build, call run(), read the RunResult."""
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        audit: bool = False,
-        collect_cwnd: bool = False,
-    ) -> None:
+    def __init__(self, scenario: Scenario, collect_cwnd: bool = False) -> None:
         self.scenario = scenario
         self.engine = EventQueue()
         self.tick_ns = scenario.tick_ns
@@ -74,11 +73,11 @@ class Simulation:
         ]
         self.a_fwd_port = OutputPort(
             eng, "A.fwd", fwd_cap, fwd_cfg, rate,
-            [h.on_cell for h in self.b_dst_hops], audit,
+            [h.on_cell for h in self.b_dst_hops],
         )
         self.b_rev_port = OutputPort(
             eng, "B.rev", rev_cap, rev_cfg, rate,
-            [h.on_cell for h in self.a_src_hops], audit,
+            [h.on_cell for h in self.a_src_hops],
         )
         self.ports = [self.a_fwd_port, self.b_rev_port]
         # Per connection: the source's data link and the destination's ack link.
@@ -150,6 +149,8 @@ class Simulation:
         return self._collect()
 
     def _collect(self) -> RunResult:
+        for port in self.ports:
+            port.check()
         scn = self.scenario
         n = scn.n_sources
         delivered_bytes = tuple(r.rcv_nxt for r in self.receivers)
@@ -201,16 +202,9 @@ class Simulation:
                 f"delivered {result.cells_delivered} + dropped {result.cells_dropped} "
                 f"+ resident {result.cells_residual}"
             )
-        for sender in self.senders:
-            for seq, una in sender.goback_checks:
-                if seq != una:
-                    raise InvariantError(
-                        f"conn {sender.conn_id}: first post-timeout emission at seq "
-                        f"{seq}, expected snd_una {una}"
-                    )
         return result
 
 
-def run_scenario(scenario: Scenario, audit: bool = False) -> RunResult:
+def run_scenario(scenario: Scenario) -> RunResult:
     """Execute one scenario deterministically and return its RunResult."""
-    return Simulation(scenario, audit=audit).run()
+    return Simulation(scenario).run()

@@ -16,13 +16,14 @@ import csv
 import io
 import itertools
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .metrics import RunResult
-from .scenario import KEYS, Scenario, ScenarioError, build_scenario, parse_value, read_keys
+from .scenario import (
+    KEYS, POLICY_ALIASES, Scenario, ScenarioError, build_scenario, parse_value, read_keys,
+)
 from .sim import run_scenario
 
 
@@ -43,15 +44,12 @@ class ResultRow:
     error: str | None = None
 
 
-_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name != "error")
+_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     axes: tuple[tuple[str, tuple], ...] = ()  # (parameter, values), outermost first
-
-    def cardinality(self) -> int:
-        return math.prod(len(values) for _, values in self.axes)
 
     def scenarios(self) -> list[Scenario | ResultRow]:
         """The cross product as run_sweep takes it: the Scenario of each valid
@@ -120,15 +118,22 @@ def row_for(scenario: Scenario, result: RunResult) -> ResultRow:
     )
 
 
-def _error_row(exc, config="lan", sources=5, buffer=None, policy="tail_drop",
+_DEFAULT = build_scenario()  # the Scenario of a point that sets nothing
+
+
+def _error_row(exc, config=_DEFAULT.config_class, sources=_DEFAULT.n_sources,
+               buffer=_DEFAULT.buffer_cells, policy=_DEFAULT.policy,
                r_fraction=None, z=None, **_) -> ResultRow:
     """A row that keeps a point's configuration and reports why it has no
-    result; a parameter the point leaves out takes build_scenario's default."""
+    result. A parameter the point leaves out takes build_scenario's default;
+    a policy alias is written as its canonical name, an unknown one as spelled."""
+    if isinstance(policy, str):
+        policy = POLICY_ALIASES.get(policy.lower(), policy)
     return ResultRow(
         config=config,
         n_sources=sources,
         buffer_cells=buffer,
-        policy=policy,
+        policy=policy if isinstance(policy, str) else policy.name.lower(),
         r_fraction=None if r_fraction is None else float(r_fraction),
         z=None if z is None else float(z),
         error=f"{type(exc).__name__}: {exc}",
@@ -141,7 +146,7 @@ def _run_one(scenario: Scenario) -> ResultRow:
     except Exception as exc:  # a failed run must not sink the sweep
         return _error_row(
             exc, scenario.config_class, scenario.n_sources, scenario.buffer_cells,
-            scenario.policy.name.lower(), scenario.r_fraction, scenario.z,
+            scenario.policy, scenario.r_fraction, scenario.z,
         )
 
 
@@ -189,13 +194,10 @@ def _fmt_csv(value) -> str:
 
 
 def _row_object(row: ResultRow) -> dict:
-    obj = {
+    return {
         name: round(value, 4) if isinstance(value, float) else value
         for name, value in zip(_COLUMNS, _column_values(row))
     }
-    if row.error is not None:
-        obj["error"] = row.error
-    return obj
 
 
 def results_csv(rows) -> str:

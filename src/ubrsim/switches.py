@@ -89,8 +89,9 @@ class OutputPort:
     admitted cell. Tail drop takes R = K, so its threshold test never runs.
 
     Per-VC counters are updated only by enqueue/dequeue, never by scanning,
-    so the per-cell cost stays O(1). The optional audit mode recomputes the
-    accounting identities after every mutation.
+    so the per-cell cost stays O(1); check() tests the accounting identities
+    in O(VCs), and Simulation calls it at the end of every run. An admitted
+    cell past its frame's last raises: a frame crosses one port only once.
 
     A cell arrives as a reference to its Frame (see aal5.Frame). The port
     numbers a frame's cells from the frame's arrival counter, and queues
@@ -112,7 +113,6 @@ class OutputPort:
         cfg: PolicyConfig,
         rate_bps: int,
         next_hop: list,
-        audit: bool = False,
     ) -> None:
         n_vcs = len(next_hop)
         self.engine = engine
@@ -131,7 +131,6 @@ class OutputPort:
         self.clock = CellClock(rate_bps)
         self.next_hop = list(next_hop)
         self.busy = False
-        self.audit = audit
         # statistics
         self.max_x = 0
         self.drops_by_reason = [0] * len(DropReason)
@@ -169,6 +168,13 @@ class OutputPort:
                 # (accepted or dropped) re-arms the VC for the next one.
                 self.discarding[vc] = None if idx == frame.last else frame
         else:
+            if idx >= frame.last:
+                if idx > frame.last:
+                    raise InvariantError(
+                        f"{self.name}: cell {idx} of a {frame.last + 1}-cell frame arrived; "
+                        f"a frame must cross one port only once"
+                    )
+                self.discarding[vc] = None
             queue = self.queue
             queue.append(frame)
             queue.append(idx)
@@ -180,21 +186,12 @@ class OutputPort:
             self.y[vc] = yv
             if yv == 1:
                 self.na += 1
-            if idx == frame.last:
-                self.discarding[vc] = None
             if not self.busy:
                 self.busy = True
                 engine = self.engine
                 engine.schedule(
                     self.clock.serve(engine.now), CELL_DEPARTURE, self._on_service_done, None,
                 )
-        if self.audit:
-            if idx > frame.last:
-                raise InvariantError(
-                    f"{self.name}: cell {idx} of a {frame.last + 1}-cell frame arrived; "
-                    f"a frame must cross one port only once"
-                )
-            self._audit_check()
         return reason
 
     def _on_service_done(self, _arg) -> None:
@@ -216,10 +213,10 @@ class OutputPort:
             )
         else:
             self.busy = False
-        if self.audit:
-            self._audit_check()
 
-    def _audit_check(self) -> None:
+    def check(self) -> None:
+        """Raise InvariantError unless 2X = len(queue), sum(Y_i) = X, N_a
+        counts the VCs with Y_i > 0 and 0 <= X <= K."""
         x = self.x
         if 2 * x != len(self.queue):
             raise InvariantError(

@@ -80,8 +80,6 @@ class TcpSender:
         # counters
         self.retransmits = 0
         self.timeouts = 0
-        # first emission after each timeout, as (seq, snd_una) pairs
-        self.goback_checks: list[tuple[int, int]] = []
         self._retx_pending = False
 
     def try_send(self, now_tick: int, arm_tick: int) -> list[Segment]:
@@ -106,7 +104,11 @@ class TcpSender:
             nxt += mss
         if out:
             if self._retx_pending:
-                self.goback_checks.append((out[0].seq, self.snd_una))
+                if out[0].seq != self.snd_una:
+                    raise InvariantError(
+                        f"conn {self.conn_id}: first post-timeout emission at seq "
+                        f"{out[0].seq}, expected snd_una {self.snd_una}"
+                    )
                 self._retx_pending = False
             self.snd_nxt = nxt
             if nxt > self.max_sent:

@@ -22,8 +22,8 @@ _SEG = Segment(0, 0, 512)
 
 
 def _port(policy, k, r=None, z=None):
-    """A one-VC port with audit off, so a test may set X, Y_0 and N_a by hand."""
-    return _mk_port(policy, k, n_vcs=1, r=r, z=z, audit=False)[1]
+    """A one-VC port that checks nothing, so a test may set X, Y_0 and N_a by hand."""
+    return OutputPort(EventQueue(), "p", k, PolicyConfig(policy, r, z), RATE, [None])
 
 
 def _verdict(port, x, y=0, na=1, first=True):
@@ -199,12 +199,25 @@ def test_decisions_match_rational_oracle_small_grid():
 
 # --------------------------------------------------------- port accounting
 
-def _mk_port(policy, capacity, n_vcs=3, r=None, z=None, audit=True):
+def _mk_port(policy, capacity, n_vcs=3, r=None, z=None):
+    """A port that runs check() after every cell arrival and, from inside its
+    next hop, at every departure; sink collects the departed cells."""
     eng = EventQueue()
     sink = []
-    cfg = PolicyConfig(policy, r, z)
-    port = OutputPort(eng, "p", capacity, cfg, RATE,
-                      [lambda frame, idx: sink.append((frame, idx))] * n_vcs, audit=audit)
+
+    def next_hop(frame, idx):
+        port.check()
+        sink.append((frame, idx))
+
+    port = OutputPort(eng, "p", capacity, PolicyConfig(policy, r, z), RATE, [next_hop] * n_vcs)
+    arrive = port.on_cell_arrival
+
+    def on_cell_arrival(frame):
+        reason = arrive(frame)
+        port.check()
+        return reason
+
+    port.on_cell_arrival = on_cell_arrival
     return eng, port, sink
 
 
@@ -296,15 +309,15 @@ def test_accounting_identities_hold_under_random_traffic():
         vc = rng.randrange(4)
         for cell in _packet_cells(vc, n=rng.randint(1, 12)):
             port.on_cell_arrival(cell)
-        # audit mode recomputes sum(Y)=X and the active count after every
-        # mutation; surviving the loop is the assertion
+        # the port checks sum(Y)=X and the active count after every arrival
+        # and departure; surviving the loop is the assertion
     eng.run_until(10**9)
     assert port.x == 0
     assert sum(port.y) == 0
     assert port.na == 0
 
 
-def test_audit_mode_catches_corruption():
+def test_check_catches_corruption():
     eng, port, _ = _mk_port(Policy.TAIL_DROP, None)
     port.on_cell_arrival(_packet_cells(0, n=1)[0])
     port.y[0] = 5  # sabotage
@@ -312,10 +325,11 @@ def test_audit_mode_catches_corruption():
         port.on_cell_arrival(_packet_cells(1, n=1)[0])
 
 
-def test_audit_mode_catches_a_frame_crossing_the_port_twice():
-    eng, port, _ = _mk_port(Policy.TAIL_DROP, None)
+def test_port_catches_a_frame_crossing_it_twice():
+    # An unchecked port: the frame test runs on every admitted cell.
+    port = _port(Policy.TAIL_DROP, None)
     [cell] = _packet_cells(0, n=1)
-    port.on_cell_arrival(cell)
+    assert port.on_cell_arrival(cell) is NONE
     with pytest.raises(InvariantError, match="only once"):
         port.on_cell_arrival(cell)
 

@@ -43,11 +43,12 @@ def test_port_invariants_under_random_frame_trains(run):
     cfg, n_vcs, k, steps = run
     eng = EventQueue()
     sent: dict[Frame, list[int]] = {}
-    port = OutputPort(
-        eng, "p", k, cfg, RATE,
-        [lambda frame, idx: sent.setdefault(frame, []).append(idx)] * n_vcs,
-        audit=True,
-    )
+
+    def next_hop(frame, idx):
+        port.check()
+        sent.setdefault(frame, []).append(idx)
+
+    port = OutputPort(eng, "p", k, cfg, RATE, [next_hop] * n_vcs)
     frame_aware = cfg.policy is not Policy.TAIL_DROP
     current: list[Frame | None] = [None] * n_vcs
     accepted: dict[Frame, list[int]] = {}
@@ -62,6 +63,7 @@ def test_port_invariants_under_random_frame_trains(run):
             frame = current[vc] = Frame(Segment(vc, 0, 0), size)
         x, idx = port.x, frame.arrived
         decision = port.on_cell_arrival(frame)
+        port.check()
         assert frame.arrived == idx + 1
         assert port.x <= k
         if decision is DropReason.NONE:

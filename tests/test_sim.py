@@ -6,7 +6,7 @@ import pytest
 
 from collections import Counter
 
-from ubrsim.engine import APP_SEND, CELL_ARRIVAL, CELL_DEPARTURE, TIMER_TICK
+from ubrsim.engine import APP_SEND, CELL_ARRIVAL, CELL_DEPARTURE, TIMER_TICK, InvariantError
 from ubrsim.scenario import build_scenario
 from ubrsim.sim import Simulation, run_scenario
 
@@ -20,8 +20,28 @@ def _tiny(**kw):
     return build_scenario(**kw)
 
 
+def _then_check(port, fn):
+    def checked(*args):
+        fn(*args)
+        port.check()
+
+    return checked
+
+
+def _run_checked(scenario):
+    """Run scenario with each port's check() after every cell arrival (each
+    CellLink sink) and every departure (each next_hop entry), as well as at
+    the end of the run."""
+    sim = Simulation(scenario)
+    for link in sim.data_links + sim.ack_links:
+        link.sink = _then_check(link.sink.__self__, link.sink)
+    for port in sim.ports:
+        port.next_hop = [_then_check(port, hop) for hop in port.next_hop]
+    return sim.run()
+
+
 def test_lossfree_run_delivers_in_order_with_no_drops():
-    result = run_scenario(_tiny(buffer=None), audit=True)
+    result = _run_checked(_tiny(buffer=None))
     assert result.drops_total == 0
     assert result.reassembly_discards == 0
     assert result.retransmitted_segments == 0
@@ -32,7 +52,7 @@ def test_lossfree_run_delivers_in_order_with_no_drops():
 
 
 def test_lossfree_queue_bounded_by_window_sum():
-    result = run_scenario(_tiny(buffer=None), audit=True)
+    result = _run_checked(_tiny(buffer=None))
     window_cells = (65535 // 512) * 12 * 2
     assert result.max_queue_cells <= window_cells
 
@@ -44,7 +64,7 @@ def test_identical_runs_are_identical():
 
 
 def test_small_buffer_run_drops_and_recovers():
-    result = run_scenario(_tiny(buffer=60, duration_ns=3 * TENTH_SECOND), audit=True)
+    result = _run_checked(_tiny(buffer=60, duration_ns=3 * TENTH_SECOND))
     assert result.drops_total > 0
     assert result.reassembly_discards > 0
     assert result.retransmitted_segments > 0
@@ -54,15 +74,10 @@ def test_small_buffer_run_drops_and_recovers():
     assert result.efficiency < 1.0
 
 
-def test_audit_mode_does_not_change_results():
-    scn = _tiny(buffer=60, duration_ns=2 * TENTH_SECOND)
-    assert run_scenario(scn, audit=True) == run_scenario(scn, audit=False)
-
-
 def test_epd_run_has_no_reassembly_waste_from_threshold_drops():
     # with generous headroom below capacity, EPD only ever kills whole packets
     scn = _tiny(buffer=300, policy="epd", r_cells=100, duration_ns=3 * TENTH_SECOND)
-    result = run_scenario(scn, audit=True)
+    result = _run_checked(scn)
     assert result.drops_total > 0
     assert result.drops_by_reason.get("BUFFER_FULL", 0) == 0
     assert result.reassembly_discards == 0
@@ -107,9 +122,20 @@ def test_round_trace_doubles_in_slow_start():
 
 
 def test_goback_checks_recorded_in_lossy_run():
+    # Record, beside the sender's own check, each first emission after a
+    # timeout as (seq, snd_una).
     sim = Simulation(_tiny(buffer=60, duration_ns=3 * TENTH_SECOND))
+    checks = []
+    for sender in sim.senders:
+        def try_send(now_tick, arm_tick, sender=sender, send=sender.try_send):
+            pending, una = sender._retx_pending, sender.snd_una
+            out = send(now_tick, arm_tick)
+            if pending and out:
+                checks.append((out[0].seq, una))
+            return out
+
+        sender.try_send = try_send
     sim.run()
-    checks = [c for s in sim.senders for c in s.goback_checks]
     assert checks  # timeouts happened
     assert all(seq == una for seq, una in checks)
 
@@ -132,13 +158,11 @@ def test_acks_survive_tight_reverse_buffer():
 
     scn = _tiny(buffer=2000, reverse_buffer=50, policy="epd",
                 r_fraction=Fraction(9, 10))
-    result = run_scenario(scn, audit=True)
+    result = _run_checked(scn)
     assert all(b > 0 for b in result.per_conn_delivered_bytes)
 
 
 def test_conservation_is_checked_without_audit():
-    from ubrsim.engine import InvariantError
-
     sim = Simulation(_tiny(buffer=None))
 
     def lose_a_delivery(_):
@@ -146,6 +170,17 @@ def test_conservation_is_checked_without_audit():
 
     sim.engine.schedule(TENTH_SECOND // 2, APP_SEND, lose_a_delivery)
     with pytest.raises(InvariantError, match="conservation"):
+        sim.run()
+
+
+def test_port_accounting_is_checked_on_every_run():
+    sim = Simulation(_tiny(buffer=None))
+
+    def miscount(_):
+        sim.a_fwd_port.y[0] += 1
+
+    sim.engine.schedule(TENTH_SECOND // 2, APP_SEND, miscount)
+    with pytest.raises(InvariantError, match=r"A\.fwd: sum\(Y_i\)"):
         sim.run()
 
 

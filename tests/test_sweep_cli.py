@@ -34,7 +34,7 @@ from ubrsim.switches import Policy
 
 TINY = dict(config="lan", sources=2, duration_ns=40_000_000)
 CSV_HEADER = ("config,n_sources,buffer_cells,policy,r_fraction,z,efficiency,fairness,"
-              "max_queue_cells,drops,reassembly_discards,retransmits")
+              "max_queue_cells,drops,reassembly_discards,retransmits,error")
 
 
 def test_sweep_cardinality_matches_cross_product():
@@ -46,7 +46,6 @@ def test_sweep_cardinality_matches_cross_product():
         ("r_fraction", (Fraction(9, 10), Fraction(1, 2), Fraction(1, 10))),
         ("z", (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))),
     ))
-    assert spec.cardinality() == 54
     scenarios = spec.scenarios()
     assert len(scenarios) == 54
     # spec order: outermost key varies slowest
@@ -67,7 +66,7 @@ def test_parse_sweep_text():
     assert axes["config"] == ("lan", "wan")
     assert axes["buffer"] == (1000, None)
     assert axes["policy"] == ("ubr", "epd")
-    assert spec.cardinality() == 16
+    assert len(spec.scenarios()) == 16
     # Axes cross in one fixed order, whatever order the file lists them in.
     assert [name for name, _ in spec.axes] == ["config", "sources", "buffer", "policy"]
     assert parse_sweep_text("policy = ubr, epd\nbuffer = 1000, infinite\n"
@@ -185,7 +184,7 @@ def test_csv_header_and_formatting():
     text = results_csv([row])
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
-    assert lines[1] == "lan,5,1000,epd,0.8000,,0.2135,1.0000,1000,17,3,9"
+    assert lines[1] == "lan,5,1000,epd,0.8000,,0.2135,1.0000,1000,17,3,9,"
 
 
 def test_csv_infinite_buffer_and_empty_rows():
@@ -223,7 +222,7 @@ def test_error_rows_keep_configuration_fields():
         r_fraction=0.5, z=None, error="Boom: synthetic",
     )
     lines = results_csv([bad]).splitlines()
-    assert lines[1] == "lan,5,10,epd,0.5000,,,,,,,"
+    assert lines[1] == "lan,5,10,epd,0.5000,,,,,,,,Boom: synthetic"
     data = json.loads(results_json([bad]))
     assert data[0]["error"] == "Boom: synthetic"
 
@@ -449,6 +448,9 @@ def test_invalid_sweep_point_becomes_one_error_row():
 @pytest.mark.parametrize("text, row", [
     ("sources = 0", ("lan", 0, None, "tail_drop", None, None)),
     ("config = WAN\npolicy = EPD\nz = 1/2", ("wan", 5, None, "epd", None, 0.5)),
+    # An alias is written under the name a result row of that policy has.
+    ("sources = 2\nbuffer = 1\npolicy = sd", ("lan", 2, 1, "selective_drop", None, None)),
+    ("policy = RED", ("lan", 5, None, "red", None, None)),  # unknown: as spelled
 ])
 def test_error_row_shows_defaults_and_lower_case_names(text, row):
     [error_row] = parse_sweep_text(text).scenarios()
@@ -469,7 +471,7 @@ def test_cli_sweep_with_invalid_point_emits_every_row(tmp_path):
     assert [(d["buffer_cells"], d["policy"]) for d in data] == [
         ("infinite", "tail_drop"), ("infinite", "epd"), (500, "tail_drop"), (500, "epd"),
     ]
-    assert [("error" in d) for d in data] == [False, True, False, False]
+    assert [d["error"] is not None for d in data] == [False, True, False, False]
 
 
 # ------------------------------------------------------------ grids and files

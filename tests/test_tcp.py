@@ -203,7 +203,17 @@ def test_goback_n_retransmits_from_snd_una():
     out = s.try_send(s.timer_expiry, s.timer_expiry)
     assert out[0].seq == 1024
     assert s.retransmits >= 1
-    assert s.goback_checks[-1] == (1024, 1024)
+
+
+def test_first_emission_after_a_timeout_must_go_back_to_snd_una():
+    s = _sender()
+    s.cwnd = 4 * MSS
+    _drain(s)
+    s.on_ack(1024, 0, 0)
+    s.on_tick(s.timer_expiry)
+    s.snd_nxt = 512  # sabotage: below snd_una
+    with pytest.raises(InvariantError, match="post-timeout emission at seq 512"):
+        s.try_send(s.timer_expiry, s.timer_expiry)
 
 
 def test_timeout_backs_off_rto():
