@@ -148,18 +148,18 @@ class CellLink:
 
     Cells handed in FIFO order are clocked out at line rate and arrive at
     the far end one propagation delay after their transmission completes.
-    Cells offered while the serializer is busy (before busy_until, the last
+    Cells offered while the serializer is busy (before idle_at, the last
     completion) join its busy period; otherwise they open a fresh one.
     """
 
-    __slots__ = ("engine", "clock", "prop_ns", "sink", "busy_until")
+    __slots__ = ("engine", "clock", "prop_ns", "sink", "idle_at")
 
     def __init__(self, engine, rate_bps: int, prop_ns: int, sink) -> None:
         self.engine = engine
         self.clock = CellClock(rate_bps)
         self.prop_ns = prop_ns
         self.sink = sink
-        self.busy_until = 0
+        self.idle_at = 0
 
     def send_cells(self, cells: list[Frame], now: int) -> None:
         """Clock out cells, each a reference to its Frame, from now on; each
@@ -168,9 +168,9 @@ class CellLink:
         serve = self.clock.serve
         prop = self.prop_ns
         sink = self.sink
-        start = now if now >= self.busy_until else None
+        start = now if now >= self.idle_at else None
         for frame in cells:
             done = serve(start)
             start = None
             schedule(done + prop, CELL_ARRIVAL, sink, frame)
-        self.busy_until = done
+        self.idle_at = done

@@ -1,7 +1,7 @@
 """Deterministic discrete-event engine on an integer-nanosecond clock.
 
 All simulation time is whole nanoseconds so runs are bit-exact across
-platforms. Events firing at the same instant dispatch in insertion order.
+platforms. Events dispatch in (time, origin, insertion) order (see EventQueue).
 A scheduled event always fires: there is no cancellation, so nothing on
 the heap is ever skipped.
 """
@@ -33,14 +33,13 @@ class InvariantError(RuntimeError):
 class EventQueue:
     """Time-ordered event queue with a monotone clock.
 
-    Heap entries are tuples (fire_time, origin, cause, seq, callback,
-    payload, kind): origin is the clock when the event was scheduled, cause
-    the origin of the event being dispatched at that moment (or the clock,
-    outside dispatch), and seq a unique insertion counter. Events are
-    dispatched in (fire_time, origin, cause, seq) order, which for events
-    scheduled by schedule() is exactly (fire_time, seq) order: events firing
-    at the same instant dispatch in insertion order. origin and cause let
-    schedule_as_of() place an event as if it had been scheduled later.
+    Heap entries are tuples (fire_time, origin, seq, callback, payload,
+    kind): origin is the clock when the event was scheduled and seq a unique
+    insertion counter. Events are dispatched in (fire_time, origin, seq)
+    order. The clock never runs back, so for events scheduled by schedule()
+    this is exactly (fire_time, seq) order: events firing at the same
+    instant dispatch in insertion order. origin lets schedule_as_of() place
+    an event as if it had been scheduled later.
     """
 
     def __init__(self) -> None:
@@ -48,7 +47,6 @@ class EventQueue:
         self._seq = 0
         self._running = False
         self.now = 0
-        self.cause = 0
 
     def schedule(self, fire_time: int, kind: int, callback, payload=None) -> None:
         """Queue callback(payload) at fire_time ns."""
@@ -57,28 +55,25 @@ class EventQueue:
                 f"event (kind={kind}) scheduled at t={fire_time} ns, behind the "
                 f"clock at t={self.now} ns"
             )
-        heapq.heappush(
-            self._heap, (fire_time, self.now, self.cause, self._seq, callback, payload, kind)
-        )
+        heapq.heappush(self._heap, (fire_time, self.now, self._seq, callback, payload, kind))
         self._seq += 1
 
     def schedule_as_of(
-        self, origin: int, cause: int, fire_time: int, kind: int, callback, payload=None
+        self, origin: int, fire_time: int, kind: int, callback, payload=None
     ) -> None:
-        """schedule() as if called at the later instant origin, from an event
-        that was itself scheduled at cause.
+        """schedule() as if called at the later instant origin.
 
         This lets a component that works out a future hand-off early, with
         no event of its own at origin, keep the place among equal-time
         events that the hand-off would have had if such an event had made
-        it. Ties that reach past cause fall back to insertion order.
+        it. Ties that reach past origin fall back to insertion order.
         """
-        now, current = self.now, self.cause
-        self.now, self.cause = origin, cause
+        now = self.now
+        self.now = origin
         try:
             self.schedule(fire_time, kind, callback, payload)
         finally:
-            self.now, self.cause = now, current
+            self.now = now
 
     def run_until(self, end: int) -> int:
         """Dispatch every event with fire_time <= end and leave the clock at end.
@@ -95,18 +90,17 @@ class EventQueue:
         self._running = True
         try:
             while heap and heap[0][0] <= end:
-                fire_time, origin, _, _, callback, payload, _ = pop(heap)
+                fire_time, _, _, callback, payload, _ = pop(heap)
                 self.now = fire_time
-                self.cause = origin
                 callback(payload)
                 dispatched += 1
         finally:
             self._running = False
-        self.now = self.cause = end
+        self.now = end
         return dispatched
 
     def pending(self, kind: int | None = None) -> int:
         """Count queued events, optionally restricted to one kind."""
         if kind is None:
             return len(self._heap)
-        return sum(1 for e in self._heap if e[6] == kind)
+        return sum(1 for e in self._heap if e[5] == kind)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .aal5 import CELL_WIRE_BYTES, cells_for_segment
 from .engine import NS_PER_MS, NS_PER_SEC, NS_PER_US
-from .switches import ConfigError, Policy, PolicyConfig
+from .switches import Policy
 
 
 class ScenarioError(ValueError):
@@ -169,11 +169,6 @@ def build_scenario(
         z = None
     elif z is None:
         z = DEFAULT_Z
-    if policy is not Policy.TAIL_DROP:
-        if r_cells is not None and r_fraction is not None:
-            raise ScenarioError("r_cells", "give r_cells or r_fraction, not both")
-        if r_fraction is not None and not 0 < r_fraction < 1:
-            raise ScenarioError("r_fraction", f"need 0 < fraction < 1, got {r_fraction}")
 
     def threshold(k: int | None) -> int | None:
         """R for a port of capacity K; None where the policy has none."""
@@ -188,18 +183,25 @@ def build_scenario(
         return (SD_FBA_DEFAULT_R_FRACTION * k).__floor__()
 
     # Both directions' thresholds are resolved and checked here, once, so a
-    # bad combination fails at build time, not mid-run.
+    # bad combination fails at build time, not mid-run; ports trust them.
     r_fwd, r_rev = threshold(buffer), threshold(reverse_buffer)
-    for key, k, r in (("buffer", buffer, r_fwd), ("reverse_buffer", reverse_buffer, r_rev)):
-        try:
-            PolicyConfig(policy, r, z).validate(k)
-        except ConfigError as exc:
-            message = str(exc)
-            if exc.on == "capacity" and k is not None and r_cells is None and r_fraction is None:
-                rule = (f"K - {EPD_DEFAULT_HEADROOM_CELLS}" if policy is Policy.EPD
-                        else f"floor({float(SD_FBA_DEFAULT_R_FRACTION)} K)")
-                message += f" (R defaulted to {rule}; set r_cells or r_fraction)"
-            raise ScenarioError("z" if exc.on == "z" else key, message) from None
+    if policy is not Policy.TAIL_DROP:
+        if r_cells is not None and r_fraction is not None:
+            raise ScenarioError("r_cells", "give r_cells or r_fraction, not both")
+        if r_fraction is not None and not 0 < r_fraction < 1:
+            raise ScenarioError("r_fraction", f"need 0 < fraction < 1, got {r_fraction}")
+        for key, k, r in (("buffer", buffer, r_fwd), ("reverse_buffer", reverse_buffer, r_rev)):
+            if k is None:
+                raise ScenarioError(key, f"policy {policy.name} requires a finite buffer")
+            if policy is not Policy.EPD and z <= 0:
+                raise ScenarioError("z", f"policy {policy.name} needs cutoff Z > 0, got {z}")
+            if not 0 < r < k:
+                message = f"policy {policy.name} needs threshold 0 < R < K, got R={r} K={k}"
+                if r_cells is None and r_fraction is None:
+                    rule = (f"K - {EPD_DEFAULT_HEADROOM_CELLS}" if policy is Policy.EPD
+                            else f"floor({float(SD_FBA_DEFAULT_R_FRACTION)} K)")
+                    message += f" (R defaulted to {rule}; set r_cells or r_fraction)"
+                raise ScenarioError(key, message)
 
     return Scenario(
         config_class=config,

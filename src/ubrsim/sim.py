@@ -26,7 +26,7 @@ from .aal5 import CellLink, Segment, segment_to_cells
 from .engine import APP_SEND, CELL_ARRIVAL, TIMER_TICK, EventQueue, InvariantError, NS_PER_SEC
 from .metrics import RunResult
 from .scenario import Scenario
-from .switches import DropReason, OutputPort, PolicyConfig, SerializerHop
+from .switches import DropReason, OutputPort, SerializerHop
 from .tcp import TcpReceiver, TcpSender
 
 
@@ -40,10 +40,9 @@ class Simulation:
         n = scenario.n_sources
         rate = scenario.link_rate_bps
         prop = scenario.link_delay_ns
-        fwd_cap = scenario.buffer_cells
-        rev_cap = scenario.reverse_buffer_cells
-        fwd_cfg = PolicyConfig(scenario.policy, scenario.r_cells, scenario.z)
-        rev_cfg = PolicyConfig(scenario.policy, scenario.reverse_r_cells, scenario.z)
+        policy = scenario.policy
+        fwd_cap, fwd_r = scenario.buffer_cells, scenario.r_cells
+        rev_cap, rev_r = scenario.reverse_buffer_cells, scenario.reverse_r_cells
 
         self.cells_injected = 0
 
@@ -63,20 +62,20 @@ class Simulation:
         eng = self.engine
         # Switch B fan-out: one leg per destination host, over the bottleneck.
         self.b_dst_hops = [
-            SerializerHop(eng, f"B.dst{i}", fwd_cap, fwd_cfg, rate, prop, self._on_data)
+            SerializerHop(eng, f"B.dst{i}", fwd_cap, policy, fwd_r, rate, prop, self._on_data)
             for i in range(n)
         ]
         # Switch A fan-out: one ack leg per source host, over the reverse link.
         self.a_src_hops = [
-            SerializerHop(eng, f"A.src{i}", rev_cap, rev_cfg, rate, prop, self._on_ack)
+            SerializerHop(eng, f"A.src{i}", rev_cap, policy, rev_r, rate, prop, self._on_ack)
             for i in range(n)
         ]
         self.a_fwd_port = OutputPort(
-            eng, "A.fwd", fwd_cap, fwd_cfg, rate,
+            eng, "A.fwd", fwd_cap, policy, fwd_r, scenario.z, rate,
             [h.on_cell for h in self.b_dst_hops],
         )
         self.b_rev_port = OutputPort(
-            eng, "B.rev", rev_cap, rev_cfg, rate,
+            eng, "B.rev", rev_cap, policy, rev_r, scenario.z, rate,
             [h.on_cell for h in self.a_src_hops],
         )
         self.ports = [self.a_fwd_port, self.b_rev_port]

@@ -22,9 +22,11 @@ from dataclasses import dataclass, fields
 
 from .metrics import RunResult
 from .scenario import (
-    KEYS, POLICY_ALIASES, Scenario, ScenarioError, build_scenario, parse_value, read_keys,
+    DEFAULT_Z, KEYS, POLICY_ALIASES, SD_FBA_DEFAULT_R_FRACTION, Scenario, ScenarioError,
+    build_scenario, parse_value, read_keys,
 )
 from .sim import run_scenario
+from .switches import Policy
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,17 @@ def _error_row(exc, config=_DEFAULT.config_class, sources=_DEFAULT.n_sources,
                r_fraction=None, z=None, **_) -> ResultRow:
     """A row that keeps a point's configuration and reports why it has no
     result. A parameter the point leaves out takes build_scenario's default;
-    a policy alias is written as its canonical name, an unknown one as spelled."""
+    a policy alias is written as its canonical name, an unknown one as spelled.
+    Z and R/K show where a result row of the policy would show them."""
     if isinstance(policy, str):
         policy = POLICY_ALIASES.get(policy.lower(), policy)
+    if policy in (Policy.SELECTIVE_DROP, Policy.FBA):
+        z = DEFAULT_Z if z is None else z
+        r_fraction = SD_FBA_DEFAULT_R_FRACTION if r_fraction is None else r_fraction
+    else:
+        z = None
+        if policy is not Policy.EPD:
+            r_fraction = None
     return ResultRow(
         config=config,
         n_sources=sources,

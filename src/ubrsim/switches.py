@@ -19,7 +19,6 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 
@@ -46,47 +45,14 @@ _ADMITTED = DropReason.NONE  # a global is cheaper to read than an enum member
 UNBOUNDED = sys.maxsize  # the integer K of an unbounded buffer
 
 
-class ConfigError(ValueError):
-    """A PolicyConfig unfit for its port; on is the parameter at fault, "capacity" or "z"."""
-
-    def __init__(self, on: str, message: str) -> None:
-        super().__init__(message)
-        self.on = on
-
-
-@dataclass(frozen=True)
-class PolicyConfig:
-    """Drop policy with its threshold R (cells) and rational cutoff Z. Ports
-    trust it: build_scenario validates each direction's config once."""
-
-    policy: Policy
-    r_cells: int | None = None
-    z: Fraction | None = None
-
-    def validate(self, capacity: int | None) -> None:
-        """Raise ConfigError unless the config fits a port of capacity K
-        (None: unbounded): a frame-aware policy needs a finite K and
-        0 < R < K, and Selective Drop and FBA a cutoff Z > 0."""
-        p = self.policy
-        if p is Policy.TAIL_DROP:
-            return
-        if capacity is None:
-            raise ConfigError("capacity", f"policy {p.name} requires a finite buffer")
-        if p is not Policy.EPD and (self.z is None or self.z <= 0):
-            raise ConfigError("z", f"policy {p.name} needs cutoff Z > 0, got {self.z}")
-        if self.r_cells is None or not 0 < self.r_cells < capacity:
-            raise ConfigError(
-                "capacity",
-                f"policy {p.name} needs threshold 0 < R < K, got R={self.r_cells} K={capacity}",
-            )
-
-
 class OutputPort:
     """FIFO cell queue with per-VC accounting and a line-rate transmitter.
 
     on_cell_arrival applies the drop rule (see the module docstring) inline
     for every policy and returns its verdict as a DropReason, NONE for an
     admitted cell. Tail drop takes R = K, so its threshold test never runs.
+    R and Z come resolved and checked by build_scenario. The transmitter is
+    busy exactly while X > 0: the cell that makes X = 1 starts service.
 
     Per-VC counters are updated only by enqueue/dequeue, never by scanning,
     so the per-cell cost stays O(1); check() tests the accounting identities
@@ -110,7 +76,9 @@ class OutputPort:
         engine,
         name: str,
         capacity: int | None,
-        cfg: PolicyConfig,
+        policy: Policy,
+        r_cells: int | None,
+        z: Fraction | None,
         rate_bps: int,
         next_hop: list,
     ) -> None:
@@ -118,10 +86,10 @@ class OutputPort:
         self.engine = engine
         self.name = name
         self.k = UNBOUNDED if capacity is None else capacity
-        self.policy = cfg.policy
-        self.frame_aware = cfg.policy is not Policy.TAIL_DROP
-        self.r = cfg.r_cells if self.frame_aware else self.k
-        self.z_num, self.z_den = (cfg.z or 1).as_integer_ratio()
+        self.policy = policy
+        self.frame_aware = policy is not Policy.TAIL_DROP
+        self.r = r_cells if self.frame_aware else self.k
+        self.z_num, self.z_den = (z or 1).as_integer_ratio()
         self.queue: deque = deque()  # frame, idx, frame, idx, ...
         self.x = 0
         self.y = [0] * n_vcs
@@ -130,7 +98,6 @@ class OutputPort:
         self.discarding: list[Frame | None] = [None] * n_vcs
         self.clock = CellClock(rate_bps)
         self.next_hop = list(next_hop)
-        self.busy = False
         # statistics
         self.max_x = 0
         self.drops_by_reason = [0] * len(DropReason)
@@ -186,8 +153,7 @@ class OutputPort:
             self.y[vc] = yv
             if yv == 1:
                 self.na += 1
-            if not self.busy:
-                self.busy = True
+            if x == 1:  # the port was idle: start serving this cell
                 engine = self.engine
                 engine.schedule(
                     self.clock.serve(engine.now), CELL_DEPARTURE, self._on_service_done, None,
@@ -211,8 +177,6 @@ class OutputPort:
             self.engine.schedule(
                 self.clock.serve(), CELL_DEPARTURE, self._on_service_done, None,
             )
-        else:
-            self.busy = False
 
     def check(self) -> None:
         """Raise InvariantError unless 2X = len(queue), sum(Y_i) = X, N_a
@@ -264,11 +228,10 @@ class SerializerHop:
     port, bit for bit, with link delays of 2726 and 2727 ns. The cell time
     is compared as an exact rational: prop_ns * den >= num.
 
-    The frame is scheduled as of the last cell's completion time, by a
-    departure scheduled when that cell's service began, which is where the
-    queued leg's departure event would have scheduled the cell's host
-    arrival. So it keeps that event's place among equal-time events (see
-    EventQueue.schedule_as_of).
+    The frame is scheduled as of the last cell's completion time, which is
+    when the queued leg's departure event would have scheduled the cell's
+    host arrival. So it keeps that event's place among equal-time events
+    (see EventQueue.schedule_as_of).
 
     One deque, done, holds the completion time of each cell not yet known
     to have reached the host (completion + prop_ns > now), trimmed as the
@@ -298,7 +261,8 @@ class SerializerHop:
         engine,
         name: str,
         capacity: int | None,
-        cfg: PolicyConfig,
+        policy: Policy,
+        r_cells: int | None,
         rate_bps: int,
         prop_ns: int,
         sink,
@@ -309,8 +273,8 @@ class SerializerHop:
         self.prop_ns = prop_ns
         self.sink = sink
         limit = UNBOUNDED if capacity is None else capacity
-        if cfg.policy is not Policy.TAIL_DROP:
-            limit = min(limit, cfg.r_cells + 1)
+        if policy is not Policy.TAIL_DROP:
+            limit = min(limit, r_cells + 1)
         self.limit = limit
         # Cells completing before arrival time + edge have left the port:
         # edge 0 keeps one completing exactly at the arrival (tie joins).
@@ -340,8 +304,6 @@ class SerializerHop:
             )
         if x == len(self.reached):
             self.reached.append(t)
-        # Queued behind a cell, service begins as that cell completes.
-        started = done[-1] if x else t
         completion = self.clock.serve(None if x else t)
         done.append(completion)
         landed = completion + prop
@@ -354,7 +316,7 @@ class SerializerHop:
             _note(self.discarded, now, landed, reasm.discards - discards)
         if seg is not None:
             _note(self.frames, now, landed, 1)
-            engine.schedule_as_of(completion, started, landed, CELL_ARRIVAL, self.sink, seg)
+            engine.schedule_as_of(completion, landed, CELL_ARRIVAL, self.sink, seg)
 
     def peak(self, end: int) -> int:
         """Most cells the leg held at once among arrivals up to time end."""

@@ -121,7 +121,7 @@ def test_pending_counts_by_kind():
     assert eng.pending() == 2
 
 
-def test_schedule_as_of_orders_equal_time_events_by_origin_then_cause():
+def test_schedule_as_of_orders_equal_time_events_by_origin():
     eng = EventQueue()
     log = []
 
@@ -132,15 +132,16 @@ def test_schedule_as_of_orders_equal_time_events_by_origin_then_cause():
     eng.schedule(30, APP_SEND, schedule_at_50, "from 30, scheduled at 0")
     eng.schedule(20, APP_SEND, lambda _: eng.schedule(
         30, APP_SEND, schedule_at_50, "from 30, scheduled at 20"))
-    # Made at t=0, placed as if made at t=20 and at t=30 by an event scheduled at t=10.
-    eng.schedule_as_of(20, 0, 50, APP_SEND, _collector(log, "as of 20"))
-    eng.schedule_as_of(30, 10, 50, APP_SEND, _collector(log, "as of 30, cause 10"))
+    # Made at t=0, placed as if made at t=20 and at t=30; at equal origin,
+    # insertion order decides, and the as-of entries were inserted first.
+    eng.schedule_as_of(20, 50, APP_SEND, _collector(log, "as of 20"))
+    eng.schedule_as_of(30, 50, APP_SEND, _collector(log, "as of 30"))
     eng.run_until(100)
     assert [tag for tag, _ in log] == [
         "from 10",
         "as of 20",
+        "as of 30",
         "from 30, scheduled at 0",
-        "as of 30, cause 10",
         "from 30, scheduled at 20",
     ]
-    assert (eng.now, eng.cause) == (100, 100)
+    assert eng.now == 100

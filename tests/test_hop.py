@@ -9,10 +9,10 @@ import pytest
 
 from ubrsim.aal5 import Frame, Reassembler, Segment
 from ubrsim.engine import APP_SEND, CELL_ARRIVAL, EventQueue, InvariantError
-from ubrsim.switches import OutputPort, Policy, PolicyConfig, SerializerHop
+from ubrsim.switches import OutputPort, Policy, SerializerHop
 
 RATE = 155_520_000  # cell time 662500/243 ns, about 2726.34 ns
-TAIL = PolicyConfig(Policy.TAIL_DROP)
+TAIL = Policy.TAIL_DROP
 
 
 def _frame(vc, pid, n):
@@ -39,7 +39,7 @@ class _QueuedLeg:
         self.eng = eng
         self.prop = prop
         self.sink = sink
-        self.port = OutputPort(eng, "leg", None, TAIL, RATE, [self._depart] * n_vcs)
+        self.port = OutputPort(eng, "leg", None, TAIL, None, None, RATE, [self._depart] * n_vcs)
         self.reasm = Reassembler()
         self.cells = self.delivered = 0
 
@@ -84,11 +84,11 @@ def _drive(prop, feed, n_vcs=1, hop=True, capacity=None, ends=(10**9,)):
         log.append((eng.now, seg))
 
     if hop:
-        legs = [SerializerHop(eng, f"hop{v}", capacity, TAIL, RATE, prop, sink)
+        legs = [SerializerHop(eng, f"hop{v}", capacity, TAIL, None, RATE, prop, sink)
                 for v in range(n_vcs)]
     else:
         legs = [_QueuedLeg(eng, prop, sink, n_vcs) for _ in range(n_vcs)]
-    upstream = OutputPort(eng, "up", None, TAIL, RATE, [leg.on_cell for leg in legs])
+    upstream = OutputPort(eng, "up", None, TAIL, None, None, RATE, [leg.on_cell for leg in legs])
     feed(eng, upstream)
     snapshots = []
     for end in ends:
@@ -221,9 +221,9 @@ def test_hop_fails_loudly_where_the_queued_leg_could_drop():
 
 def test_frame_aware_limit_is_threshold_plus_one():
     eng = EventQueue()
-    epd = SerializerHop(eng, "h", 10, PolicyConfig(Policy.EPD, 1), RATE, 0, None)
+    epd = SerializerHop(eng, "h", 10, Policy.EPD, 1, RATE, 0, None)
     assert epd.limit == 2
-    tail = SerializerHop(eng, "h", 10, TAIL, RATE, 0, None)
+    tail = SerializerHop(eng, "h", 10, TAIL, None, RATE, 0, None)
     assert tail.limit == 10
 
 
@@ -234,8 +234,8 @@ def test_hop_keeps_only_cells_in_flight():
     prop = 100_000
     cells = [(0, c) for pid in range(400) for c in _frame(0, pid, 5)]
     eng = EventQueue()
-    hop = SerializerHop(eng, "hop", None, TAIL, RATE, prop, lambda seg: None)
-    upstream = OutputPort(eng, "up", None, TAIL, RATE, [hop.on_cell])
+    hop = SerializerHop(eng, "hop", None, TAIL, None, RATE, prop, lambda seg: None)
+    upstream = OutputPort(eng, "up", None, TAIL, None, None, RATE, [hop.on_cell])
     _feed_cells(cells)(eng, upstream)
     eng.run_until(10**9)
     assert hop.cells == 2000 and hop.delivered(10**9) == 2000

@@ -10,7 +10,7 @@ import pytest
 
 from ubrsim.aal5 import Frame, Segment
 from ubrsim.engine import EventQueue, InvariantError
-from ubrsim.switches import ConfigError, DropReason, OutputPort, Policy, PolicyConfig
+from ubrsim.switches import DropReason, OutputPort, Policy
 
 RATE = 155_520_000
 NONE = DropReason.NONE
@@ -23,7 +23,7 @@ _SEG = Segment(0, 0, 512)
 
 def _port(policy, k, r=None, z=None):
     """A one-VC port that checks nothing, so a test may set X, Y_0 and N_a by hand."""
-    return OutputPort(EventQueue(), "p", k, PolicyConfig(policy, r, z), RATE, [None])
+    return OutputPort(EventQueue(), "p", k, policy, r, z, RATE, [None])
 
 
 def _verdict(port, x, y=0, na=1, first=True):
@@ -209,7 +209,7 @@ def _mk_port(policy, capacity, n_vcs=3, r=None, z=None):
         port.check()
         sink.append((frame, idx))
 
-    port = OutputPort(eng, "p", capacity, PolicyConfig(policy, r, z), RATE, [next_hop] * n_vcs)
+    port = OutputPort(eng, "p", capacity, policy, r, z, RATE, [next_hop] * n_vcs)
     arrive = port.on_cell_arrival
 
     def on_cell_arrival(frame):
@@ -332,25 +332,3 @@ def test_port_catches_a_frame_crossing_it_twice():
     assert port.on_cell_arrival(cell) is NONE
     with pytest.raises(InvariantError, match="only once"):
         port.on_cell_arrival(cell)
-
-
-def test_policy_config_validation():
-    with pytest.raises(ValueError):
-        PolicyConfig(Policy.EPD, None, None).validate(1000)
-    with pytest.raises(ValueError):
-        PolicyConfig(Policy.EPD, 1000, None).validate(1000)
-    with pytest.raises(ValueError):
-        PolicyConfig(Policy.FBA, 900, None).validate(1000)
-    with pytest.raises(ValueError):
-        PolicyConfig(Policy.EPD, 800, None).validate(None)
-    PolicyConfig(Policy.EPD, 800, None).validate(1000)
-    PolicyConfig(Policy.TAIL_DROP).validate(None)
-    # Each failure names the parameter at fault; a finite K comes first.
-    for cfg, capacity, on in (
-        (PolicyConfig(Policy.SELECTIVE_DROP, 0, Fraction(0)), None, "capacity"),
-        (PolicyConfig(Policy.SELECTIVE_DROP, 0, Fraction(0)), 1000, "z"),
-        (PolicyConfig(Policy.FBA, 0, Fraction(4, 5)), 1000, "capacity"),
-    ):
-        with pytest.raises(ConfigError) as err:
-            cfg.validate(capacity)
-        assert err.value.on == on

@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ubrsim.aal5 import Frame, Segment
-from ubrsim.engine import EventQueue
-from ubrsim.switches import DropReason, OutputPort, Policy, PolicyConfig
+from ubrsim.engine import CELL_DEPARTURE, EventQueue
+from ubrsim.switches import DropReason, OutputPort, Policy
 
 RATE = 155_520_000  # cell time about 2726.34 ns
 
 
 @st.composite
 def _runs(draw):
-    """A port configuration and a list of (vc, frame size, gap ns) steps.
+    """A port configuration (policy, R, Z, VC count, K) and a list of
+    (vc, frame size, gap ns) steps.
 
     Each step first lets gap ns pass, then offers the next cell of vc's
     current frame, starting a new frame of the given size on vc when the
@@ -34,13 +35,13 @@ def _runs(draw):
                   st.sampled_from((0, 0, 0, 1000, 2726, 2727, 9000))),
         min_size=1, max_size=300,
     ))
-    return PolicyConfig(policy, r, z), n_vcs, k, steps
+    return policy, r, z, n_vcs, k, steps
 
 
 @settings(max_examples=300, deadline=None)
 @given(_runs())
 def test_port_invariants_under_random_frame_trains(run):
-    cfg, n_vcs, k, steps = run
+    policy, r, z, n_vcs, k, steps = run
     eng = EventQueue()
     sent: dict[Frame, list[int]] = {}
 
@@ -48,8 +49,13 @@ def test_port_invariants_under_random_frame_trains(run):
         port.check()
         sent.setdefault(frame, []).append(idx)
 
-    port = OutputPort(eng, "p", k, cfg, RATE, [next_hop] * n_vcs)
-    frame_aware = cfg.policy is not Policy.TAIL_DROP
+    port = OutputPort(eng, "p", k, policy, r, z, RATE, [next_hop] * n_vcs)
+    frame_aware = policy is not Policy.TAIL_DROP
+
+    def serving_iff_queued():
+        # The transmitter is busy exactly while X > 0: one departure pending.
+        assert eng.pending(CELL_DEPARTURE) == (1 if port.x else 0)
+
     current: list[Frame | None] = [None] * n_vcs
     accepted: dict[Frame, list[int]] = {}
     hit: set[Frame] = set()  # frames that lost a cell at the port
@@ -57,6 +63,7 @@ def test_port_invariants_under_random_frame_trains(run):
     for vc, size, gap in steps:
         t += gap
         eng.run_until(t)
+        serving_iff_queued()
         assert port.x <= k
         frame = current[vc]
         if frame is None or frame.arrived > frame.last:
@@ -64,17 +71,19 @@ def test_port_invariants_under_random_frame_trains(run):
         x, idx = port.x, frame.arrived
         decision = port.on_cell_arrival(frame)
         port.check()
+        serving_iff_queued()
         assert frame.arrived == idx + 1
         assert port.x <= k
         if decision is DropReason.NONE:
-            if cfg.policy is Policy.EPD:
-                assert not (idx == 0 and x > cfg.r_cells)
+            if policy is Policy.EPD:
+                assert not (idx == 0 and x > r)
             if frame_aware:
                 assert frame not in hit
             accepted.setdefault(frame, []).append(idx)
         else:
             hit.add(frame)
     eng.run_until(t + 10**9)
+    serving_iff_queued()
     assert port.x == 0
     # Every accepted cell reaches the next hop, numbered as it arrived, its
     # frame's indices in increasing order, tail-drop gaps included.

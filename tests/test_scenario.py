@@ -204,6 +204,10 @@ def test_thresholds_are_resolved_at_build_time():
     (dict(buffer=100, policy="epd"), "buffer"),
     (dict(buffer=1, policy="sd"), "buffer"),
     (dict(buffer=1000, reverse_buffer=1, policy="fba"), "reverse_buffer"),
+    (dict(buffer=None, policy="epd"), "buffer"),
+    (dict(buffer=1000, policy="epd", r_cells=1000), "buffer"),
+    (dict(buffer=None, policy="sd", z=Fraction(0)), "buffer"),  # finite K is checked first
+    (dict(buffer=1000, policy="fba", r_cells=0), "buffer"),
 ])
 def test_policy_rule_failures_name_the_key(kwargs, field):
     with pytest.raises(ScenarioError) as err:

@@ -447,10 +447,17 @@ def test_invalid_sweep_point_becomes_one_error_row():
 
 @pytest.mark.parametrize("text, row", [
     ("sources = 0", ("lan", 0, None, "tail_drop", None, None)),
-    ("config = WAN\npolicy = EPD\nz = 1/2", ("wan", 5, None, "epd", None, 0.5)),
-    # An alias is written under the name a result row of that policy has.
-    ("sources = 2\nbuffer = 1\npolicy = sd", ("lan", 2, 1, "selective_drop", None, None)),
+    # Z shows only under SD and FBA, as in a result row.
+    ("config = WAN\npolicy = EPD\nz = 1/2", ("wan", 5, None, "epd", None, None)),
+    # An alias is written under the name a result row of that policy has,
+    # with that policy's default R/K and Z.
+    ("sources = 2\nbuffer = 1\npolicy = sd", ("lan", 2, 1, "selective_drop", 0.9, 0.8)),
     ("policy = RED", ("lan", 5, None, "red", None, None)),  # unknown: as spelled
+    # A frame-aware point's own R/K shows; EPD's default R = K - 200 does not.
+    ("policy = epd\nr_fraction = 1/2", ("lan", 5, None, "epd", 0.5, None)),
+    ("policy = epd", ("lan", 5, None, "epd", None, None)),
+    ("policy = fba\nr_fraction = 1/2\nz = 0", ("lan", 5, None, "fba", 0.5, 0.0)),
+    ("sources = 0\nr_fraction = 1/2\nz = 1/2", ("lan", 0, None, "tail_drop", None, None)),
 ])
 def test_error_row_shows_defaults_and_lower_case_names(text, row):
     [error_row] = parse_sweep_text(text).scenarios()
