@@ -161,9 +161,10 @@ class CellLink:
         self.sink = sink
         self.idle_at = 0
 
-    def send_cells(self, cells: list[Frame], now: int) -> None:
-        """Clock out cells, each a reference to its Frame, from now on; each
-        reaches sink(frame) at the far end."""
+    def send_cells(self, cells: list[Frame]) -> None:
+        """Clock out cells, each a reference to its Frame, from the engine's
+        now on; each reaches sink(frame) at the far end."""
+        now = self.engine.now
         schedule = self.engine.schedule
         serve = self.clock.serve
         prop = self.prop_ns

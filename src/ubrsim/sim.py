@@ -23,7 +23,7 @@ run ends by checking each port's accounting and cell conservation.
 from __future__ import annotations
 
 from .aal5 import CellLink, Segment, segment_to_cells
-from .engine import APP_SEND, CELL_ARRIVAL, TIMER_TICK, EventQueue, InvariantError, NS_PER_SEC
+from .engine import APP_SEND, CELL_ARRIVAL, TIMER_TICK, EventQueue, InvariantError
 from .metrics import RunResult
 from .scenario import Scenario
 from .switches import DropReason, OutputPort, SerializerHop
@@ -36,7 +36,6 @@ class Simulation:
     def __init__(self, scenario: Scenario, collect_cwnd: bool = False) -> None:
         self.scenario = scenario
         self.engine = EventQueue()
-        self.tick_ns = scenario.tick_ns
         n = scenario.n_sources
         rate = scenario.link_rate_bps
         prop = scenario.link_delay_ns
@@ -54,6 +53,7 @@ class Simulation:
                 initial_ssthresh=scenario.initial_ssthresh,
                 rto_initial=scenario.rto_initial_ticks,
                 rto_max=scenario.rto_max_ticks,
+                tick_ns=scenario.tick_ns,
             )
             for i in range(n)
         ]
@@ -94,7 +94,7 @@ class Simulation:
         for seg in segments:
             cells.extend(segment_to_cells(seg))
         self.cells_injected += len(cells)
-        link.send_cells(cells, self.engine.now)
+        link.send_cells(cells)
 
     def record_cwnd(self, conn: int) -> None:
         cwnd = self.senders[conn].cwnd
@@ -111,29 +111,19 @@ class Simulation:
     def _on_ack(self, seg: Segment) -> None:
         """A whole ack frame reaches its source host."""
         conn = seg.conn_id
-        now = self.engine.now
-        tick_ns = self.tick_ns
-        now_tick = now // tick_ns
-        # A timer (re)started mid-interval begins counting at the next
-        # boundary; the coarse clock cannot observe sub-tick arming.
-        arm_tick = (now + tick_ns - 1) // tick_ns
-        if self.senders[conn].on_ack(seg.ack_no, now_tick, arm_tick):
-            self._send(conn, now_tick, arm_tick)
+        if self.senders[conn].on_ack(seg.ack_no, self.engine.now):
+            self._send(conn)
 
     def _on_tick(self, _arg) -> None:
         eng = self.engine
-        now_tick = eng.now // self.tick_ns
         for i, sender in enumerate(self.senders):
-            if sender.on_tick(now_tick):
-                self._send(i, now_tick, now_tick)
-        eng.schedule(eng.now + self.tick_ns, TIMER_TICK, self._on_tick, None)
+            if sender.on_tick(eng.now):
+                self._send(i)
+        eng.schedule(eng.now + self.scenario.tick_ns, TIMER_TICK, self._on_tick, None)
 
-    def _start_source(self, conn: int) -> None:
-        self._send(conn, 0, 0)
-
-    def _send(self, conn: int, now_tick: int, arm_tick: int) -> None:
+    def _send(self, conn: int) -> None:
         """Let conn's sender emit what its window allows, then trace its cwnd."""
-        out = self.senders[conn].try_send(now_tick, arm_tick)
+        out = self.senders[conn].try_send(self.engine.now)
         if out:
             self.emit_segments(out, self.data_links[conn])
         if self.cwnd_traces is not None:
@@ -142,8 +132,8 @@ class Simulation:
     def run(self) -> RunResult:
         eng = self.engine
         for i in range(self.scenario.n_sources):
-            eng.schedule(0, APP_SEND, self._start_source, i)
-        eng.schedule(self.tick_ns, TIMER_TICK, self._on_tick, None)
+            eng.schedule(0, APP_SEND, self._send, i)
+        eng.schedule(self.scenario.tick_ns, TIMER_TICK, self._on_tick, None)
         eng.run_until(self.scenario.duration_ns)
         return self._collect()
 
@@ -179,7 +169,7 @@ class Simulation:
         residual = sum(p.x for p in self.ports) + on_links + in_hops
         result = RunResult.from_counters(
             per_conn_delivered_bytes=delivered_bytes,
-            duration_s=scn.duration_ns / NS_PER_SEC,
+            duration_s=scn.duration_s,
             link_rate_bps=scn.link_rate_bps,
             mss=scn.mss,
             max_queue_cells=self.a_fwd_port.max_x,

@@ -102,15 +102,22 @@ def parse_sweep_file(path: str) -> SweepSpec:
         return parse_sweep_text(fh.read())
 
 
-def row_for(scenario: Scenario, result: RunResult) -> ResultRow:
+def _configuration(scenario: Scenario) -> dict:
+    """The configuration columns of every row a Scenario gives."""
     z = scenario.z
-    return ResultRow(
+    return dict(
         config=scenario.config_class,
         n_sources=scenario.n_sources,
         buffer_cells=scenario.buffer_cells,
         policy=scenario.policy.name.lower(),
         r_fraction=scenario.r_fraction,
         z=None if z is None else float(z),
+    )
+
+
+def row_for(scenario: Scenario, result: RunResult) -> ResultRow:
+    return ResultRow(
+        **_configuration(scenario),
         efficiency=result.efficiency,
         fairness=result.fairness,
         max_queue_cells=result.max_queue_cells,
@@ -126,10 +133,10 @@ _DEFAULT = build_scenario()  # the Scenario of a point that sets nothing
 def _error_row(exc, config=_DEFAULT.config_class, sources=_DEFAULT.n_sources,
                buffer=_DEFAULT.buffer_cells, policy=_DEFAULT.policy,
                r_fraction=None, z=None, **_) -> ResultRow:
-    """A row that keeps a point's configuration and reports why it has no
-    result. A parameter the point leaves out takes build_scenario's default;
-    a policy alias is written as its canonical name, an unknown one as spelled.
-    Z and R/K show where a result row of the policy would show them."""
+    """A row that keeps the configuration of a point that has no Scenario
+    and reports why. A parameter the point leaves out takes build_scenario's
+    default; a policy alias is written as its canonical name, an unknown one
+    as spelled. Z and R/K show where a result row of the policy would."""
     if isinstance(policy, str):
         policy = POLICY_ALIASES.get(policy.lower(), policy)
     if policy in (Policy.SELECTIVE_DROP, Policy.FBA):
@@ -154,10 +161,7 @@ def _run_one(scenario: Scenario) -> ResultRow:
     try:
         return row_for(scenario, run_scenario(scenario))
     except Exception as exc:  # a failed run must not sink the sweep
-        return _error_row(
-            exc, scenario.config_class, scenario.n_sources, scenario.buffer_cells,
-            scenario.policy, scenario.r_fraction, scenario.z,
-        )
+        return ResultRow(**_configuration(scenario), error=f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(
@@ -180,9 +184,10 @@ def run_sweep(
         with ProcessPoolExecutor(max_workers=min(parallelism, len(distinct))) as pool:
             ran = dict(zip(distinct, pool.map(_run_one, distinct, chunksize=1)))
     rows = [ran[p] if isinstance(p, Scenario) else p for p in points]
-    for row in rows:
+    for point, row in zip(points, rows):
         if row.error is not None and report is not None:
-            print(f"sweep: run failed ({row.config}/{row.n_sources}/"
+            what = "run failed" if isinstance(point, Scenario) else "point rejected"
+            print(f"sweep: {what} ({row.config}/{row.n_sources}/"
                   f"{row.buffer_cells}/{row.policy}): {row.error}", file=report)
     return rows
 

@@ -3,6 +3,11 @@
 Slow start and congestion avoidance drive the window; loss recovery is a
 coarse-grained retransmission timer followed by go-back-N from the oldest
 unacknowledged byte. Duplicate acks are ignored.
+
+The sender takes the engine's clock in nanoseconds but sees whole ticks of
+tick_ns: RTT samples and expiry checks use the floor tick, and a timer
+(re)armed between two ticks counts from the next tick boundary, since a
+coarse clock cannot observe sub-tick arming.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ class RttEstimator:
     def sample(self, ticks: int) -> None:
         """Fold in one round-trip measurement (never from a retransmission)."""
         if ticks < 0:
-            raise ValueError(f"negative RTT sample {ticks}")
+            raise InvariantError(f"negative RTT sample {ticks}: the clock ran back")
         if not self.initialized:
             self.srtt8 = ticks << 3
             self.rttvar4 = ticks << 1
@@ -63,9 +68,11 @@ class TcpSender:
         initial_ssthresh: int,
         rto_initial: int,
         rto_max: int,
+        tick_ns: int,
     ) -> None:
         self.conn_id = conn_id
         self.mss = mss
+        self.tick_ns = tick_ns
         self.rcvwnd = rcvwnd
         self.cwnd = mss
         self.ssthresh = initial_ssthresh
@@ -82,13 +89,13 @@ class TcpSender:
         self.timeouts = 0
         self._retx_pending = False
 
-    def try_send(self, now_tick: int, arm_tick: int) -> list[Segment]:
-        """Emit every full segment the window permits, advancing snd_nxt.
+    def _expiry(self, now: int) -> int:
+        """Expiry tick of a timer (re)armed at now ns: rto ticks after the
+        next tick boundary."""
+        return (now + self.tick_ns - 1) // self.tick_ns + self.est.rto
 
-        now_tick is the floor tick (RTT samples count whole elapsed ticks);
-        arm_tick is the next tick boundary, where a freshly started timer
-        begins counting (mid-interval arming is invisible to a coarse timer).
-        """
+    def try_send(self, now: int) -> list[Segment]:
+        """Emit every full segment the window permits at now ns; advance snd_nxt."""
         mss = self.mss
         limit = self.snd_una + min(self.cwnd, self.rcvwnd)
         nxt = self.snd_nxt
@@ -99,7 +106,7 @@ class TcpSender:
             elif self.timed_seq is None:
                 # Karn: time only segments sent exactly once.
                 self.timed_seq = nxt
-                self.timed_tick = now_tick
+                self.timed_tick = now // self.tick_ns
             out.append(Segment(self.conn_id, nxt, mss))
             nxt += mss
         if out:
@@ -114,11 +121,11 @@ class TcpSender:
             if nxt > self.max_sent:
                 self.max_sent = nxt
             if self.timer_expiry is None:
-                self.timer_expiry = arm_tick + self.est.rto
+                self.timer_expiry = self._expiry(now)
         return out
 
-    def on_ack(self, ack_no: int, now_tick: int, arm_tick: int) -> bool:
-        """Process one cumulative ack; returns True if it acked new data."""
+    def on_ack(self, ack_no: int, now: int) -> bool:
+        """Process one cumulative ack at now ns; returns True if it acked new data."""
         if ack_no > self.max_sent:
             # Checked against the highest byte ever transmitted: after a
             # go-back-N rewind, old in-flight copies can legitimately draw
@@ -129,7 +136,7 @@ class TcpSender:
         if ack_no <= self.snd_una:
             return False
         if self.timed_seq is not None and ack_no >= self.timed_seq + self.mss:
-            self.est.sample(now_tick - self.timed_tick)
+            self.est.sample(now // self.tick_ns - self.timed_tick)
             self.timed_seq = None
         self.snd_una = ack_no
         if self.snd_nxt < ack_no:
@@ -144,31 +151,28 @@ class TcpSender:
             if self.ca_acc >= self.cwnd * mss:
                 self.ca_acc -= self.cwnd * mss
                 self.cwnd += mss
-        self.timer_expiry = None if self.snd_una == self.snd_nxt else arm_tick + self.est.rto
+        self.timer_expiry = None if self.snd_una == self.snd_nxt else self._expiry(now)
         return True
 
-    def on_tick(self, now_tick: int) -> bool:
-        """Coarse timer check at a tick boundary; returns True on timeout."""
+    def on_tick(self, now: int) -> bool:
+        """Coarse timer check at now ns; returns True on a timeout (go-back-N)."""
         if (
-            self.timer_expiry is not None
-            and now_tick >= self.timer_expiry
-            and self.snd_una < self.snd_nxt
+            self.timer_expiry is None
+            or now // self.tick_ns < self.timer_expiry
+            or self.snd_una >= self.snd_nxt
         ):
-            self._do_timeout(now_tick)
-            return True
-        return False
-
-    def _do_timeout(self, now_tick: int) -> None:
+            return False
         mss = self.mss
         self.ssthresh = max(2 * mss, min(self.cwnd // 2, self.rcvwnd))
         self.cwnd = mss
         self.snd_nxt = self.snd_una  # go-back-N
         self.ca_acc = 0
         self.est.backoff()
-        self.timer_expiry = now_tick + self.est.rto
+        self.timer_expiry = self._expiry(now)
         self.timed_seq = None
         self.timeouts += 1
         self._retx_pending = True
+        return True
 
 
 class TcpReceiver:

@@ -142,7 +142,7 @@ def test_idle_link_arrival_time():
     arrivals = []
     link = CellLink(eng, RATE, 5_000, lambda cell: arrivals.append(eng.now))
     eng.run_until(1_000)
-    link.send_cells(segment_to_cells(Segment(0, 0, 0)), eng.now)
+    link.send_cells(segment_to_cells(Segment(0, 0, 0)))
     eng.run_until(100_000)
     assert eng.pending(CELL_ARRIVAL) == 0
     assert arrivals[0] == 1_000 + 2_726 + 5_000
@@ -166,7 +166,7 @@ def test_back_to_back_cells_spaced_one_cell_time():
     eng = EventQueue()
     arrivals = []
     link = CellLink(eng, RATE, 0, lambda cell: arrivals.append(eng.now))
-    link.send_cells(segment_to_cells(Segment(0, 0, 512)), 0)
+    link.send_cells(segment_to_cells(Segment(0, 0, 512)))
     eng.run_until(10**9)
     assert len(arrivals) == 12
     gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
@@ -177,7 +177,7 @@ def test_wan_propagation_dominates():
     eng = EventQueue()
     arrivals = []
     link = CellLink(eng, RATE, 5_000_000, lambda cell: arrivals.append(eng.now))
-    link.send_cells(segment_to_cells(Segment(0, 0, 0)), 0)
+    link.send_cells(segment_to_cells(Segment(0, 0, 0)))
     eng.run_until(10**9)
     assert arrivals[0] == 2726 + 5_000_000
 
@@ -186,9 +186,10 @@ def test_busy_link_serializes_later_offer():
     eng = EventQueue()
     arrivals = []
     link = CellLink(eng, RATE, 0, lambda cell: arrivals.append(eng.now))
-    link.send_cells(segment_to_cells(Segment(0, 0, 0)), 0)
+    link.send_cells(segment_to_cells(Segment(0, 0, 0)))
     # offered mid-transmission of the first train: must queue behind it
-    link.send_cells(segment_to_cells(Segment(0, 0, 0)), 1000)
+    eng.run_until(1000)
+    link.send_cells(segment_to_cells(Segment(0, 0, 0)))
     eng.run_until(10**9)
     assert len(arrivals) == 4
     assert all(b - a >= 2726 for a, b in zip(arrivals, arrivals[1:]))

@@ -127,9 +127,9 @@ def test_goback_checks_recorded_in_lossy_run():
     sim = Simulation(_tiny(buffer=60, duration_ns=3 * TENTH_SECOND))
     checks = []
     for sender in sim.senders:
-        def try_send(now_tick, arm_tick, sender=sender, send=sender.try_send):
+        def try_send(now, sender=sender, send=sender.try_send):
             pending, una = sender._retx_pending, sender.snd_una
-            out = send(now_tick, arm_tick)
+            out = send(now)
             if pending and out:
                 checks.append((out[0].seq, una))
             return out

@@ -414,6 +414,29 @@ def test_invariant_error_in_a_sweep_is_one_error_row(tmp_path, monkeypatch, caps
     assert main(["sweep", str(sweep), "--format", "json"]) == 0
     [row] = json.loads(capsys.readouterr().out)
     assert row["error"] == "InvariantError: synthetic breakage"
+    # A failed run's row shows the configuration its result row would.
+    sweep.write_text("[sweep]\nsources = 2\nbuffer = 1000\npolicy = epd, sd\n"
+                     "duration_s = 0.02\n")
+    assert main(["sweep", str(sweep), "--format", "json"]) == 0
+    epd, sd = json.loads(capsys.readouterr().out)
+    assert epd["error"] == sd["error"] == "InvariantError: synthetic breakage"
+    assert (epd["policy"], epd["r_fraction"], epd["z"]) == ("epd", 0.8, None)
+    assert (sd["policy"], sd["r_fraction"], sd["z"]) == ("selective_drop", 0.9, 0.8)
+
+
+def test_sweep_reports_a_rejected_point_apart_from_a_failed_run(tmp_path, monkeypatch, capsys):
+    _break_every_run(monkeypatch)
+    sweep = tmp_path / "mixed.sweep"
+    sweep.write_text("[sweep]\nsources = 2\nbuffer = 1, 1000\npolicy = sd\n"
+                     "duration_s = 0.02\n")
+    assert main(["sweep", str(sweep)]) == 0
+    reports = [ln for ln in capsys.readouterr().err.splitlines() if "): " in ln]
+    assert reports == [
+        "sweep: point rejected (lan/2/1/selective_drop): ScenarioError: buffer: policy "
+        "SELECTIVE_DROP needs threshold 0 < R < K, got R=0 K=1 (R defaulted to "
+        "floor(0.9 K); set r_cells or r_fraction)",
+        "sweep: run failed (lan/2/1000/selective_drop): InvariantError: synthetic breakage",
+    ]
 
 
 def test_cli_trace_emits_time_cwnd_lines(tmp_path):

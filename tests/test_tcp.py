@@ -18,11 +18,12 @@ def _sender(**kw):
     kw.setdefault("initial_ssthresh", kw["rcvwnd"])
     kw.setdefault("rto_initial", 3)
     kw.setdefault("rto_max", 640)
+    kw.setdefault("tick_ns", 1)
     return TcpSender(0, **kw)
 
 
 def _drain(sender, tick=0):
-    return sender.try_send(tick, tick)
+    return sender.try_send(tick)
 
 
 # -------------------------------------------------------------- rtt estimator
@@ -81,10 +82,25 @@ def test_full_window_emits_nothing():
 
 
 def test_send_arms_timer_once():
-    s = _sender()
+    # Between ticks: RTT samples count floor ticks, and a timer armed at
+    # 5 ns or 25 ns with 10 ns ticks starts counting at the next boundary.
+    s = _sender(tick_ns=10)
     s.cwnd = 4 * MSS
-    s.try_send(0, arm_tick=1)
+    s.try_send(5)
+    assert s.timed_seq == 0 and s.timed_tick == 0
     assert s.timer_expiry == 1 + s.est.rto
+    s.on_ack(512, 25)
+    assert s.est.initialized and s.est.srtt8 >> 3 == 2
+    assert s.timer_expiry == 3 + s.est.rto
+
+
+def test_clock_running_back_is_an_invariant_error():
+    s = _sender()
+    s.cwnd = 2 * MSS
+    s.try_send(10)
+    s.timed_tick = 11  # the sample's send tick is past now
+    with pytest.raises(InvariantError, match="negative RTT sample -1"):
+        s.on_ack(512, 10)
 
 
 # -------------------------------------------------------------------- on_ack
@@ -95,7 +111,7 @@ def test_slow_start_doubles_per_window_of_acks():
     s.ssthresh = 64 * MSS
     _drain(s)
     for ack in (512, 1024, 1536, 2048):
-        s.on_ack(ack, 0, 0)
+        s.on_ack(ack, 0)
     assert s.cwnd == 8 * MSS
 
 
@@ -105,7 +121,7 @@ def test_congestion_avoidance_adds_one_mss_per_window_of_acks():
     s.ssthresh = 8 * MSS  # at/above threshold: linear region
     _drain(s)
     for i in range(1, 9):
-        s.on_ack(i * 512, 0, 0)
+        s.on_ack(i * 512, 0)
     assert s.cwnd == 9 * MSS
 
 
@@ -113,12 +129,12 @@ def test_duplicate_acks_change_nothing():
     s = _sender()
     s.cwnd = 4 * MSS
     _drain(s)
-    s.on_ack(512, 0, 0)
+    s.on_ack(512, 0)
     cwnd = s.cwnd
     nxt = s.snd_nxt
     timer = s.timer_expiry
     for _ in range(3):
-        assert s.on_ack(512, 0, 0) is False
+        assert s.on_ack(512, 0) is False
     assert s.cwnd == cwnd and s.snd_nxt == nxt and s.timeouts == 0
     assert s.snd_una == 512 and s.timer_expiry == timer
 
@@ -127,7 +143,7 @@ def test_ack_beyond_snd_nxt_aborts():
     s = _sender()
     _drain(s)
     with pytest.raises(InvariantError, match="beyond max sent"):
-        s.on_ack(5120, 0, 0)
+        s.on_ack(5120, 0)
 
 
 def test_cumulative_ack_fast_forwards_snd_nxt():
@@ -137,8 +153,8 @@ def test_cumulative_ack_fast_forwards_snd_nxt():
     _drain(s)
     s.on_tick(s.timer_expiry)  # force timeout: snd_nxt back to 0
     assert s.snd_nxt == 0
-    s.try_send(s.timer_expiry, s.timer_expiry)  # retransmit one segment (cwnd is 1 mss)
-    s.on_ack(4 * 512, s.timer_expiry, s.timer_expiry)
+    s.try_send(s.timer_expiry)  # retransmit one segment (cwnd is 1 mss)
+    s.on_ack(4 * 512, s.timer_expiry)
     assert s.snd_una == 2048 and s.snd_nxt == 2048
 
 
@@ -171,7 +187,7 @@ def test_timer_fires_exactly_at_expiry_tick():
     s = _sender()
     s.cwnd = 2 * MSS
     s.est.rto = 3
-    s.try_send(10, arm_tick=10)
+    s.try_send(10)
     assert s.timer_expiry == 13
     assert s.on_tick(12) is False
     assert s.on_tick(13) is True
@@ -181,9 +197,9 @@ def test_new_ack_restarts_timer():
     s = _sender()
     s.cwnd = 4 * MSS
     s.est.rto = 3
-    s.try_send(10, arm_tick=10)
+    s.try_send(10)
     s.timed_seq = None  # isolate the restart from RTT sampling
-    s.on_ack(512, 12, arm_tick=12)
+    s.on_ack(512, 12)
     assert s.timer_expiry == 15
     assert s.on_tick(13) is False
 
@@ -197,10 +213,10 @@ def test_goback_n_retransmits_from_snd_una():
     s = _sender()
     s.cwnd = 4 * MSS
     _drain(s)
-    s.on_ack(1024, 0, 0)
+    s.on_ack(1024, 0)
     s.on_tick(s.timer_expiry)
     assert s.snd_nxt == s.snd_una == 1024
-    out = s.try_send(s.timer_expiry, s.timer_expiry)
+    out = s.try_send(s.timer_expiry)
     assert out[0].seq == 1024
     assert s.retransmits >= 1
 
@@ -209,11 +225,11 @@ def test_first_emission_after_a_timeout_must_go_back_to_snd_una():
     s = _sender()
     s.cwnd = 4 * MSS
     _drain(s)
-    s.on_ack(1024, 0, 0)
+    s.on_ack(1024, 0)
     s.on_tick(s.timer_expiry)
     s.snd_nxt = 512  # sabotage: below snd_una
     with pytest.raises(InvariantError, match="post-timeout emission at seq 512"):
-        s.try_send(s.timer_expiry, s.timer_expiry)
+        s.try_send(s.timer_expiry)
 
 
 def test_timeout_backs_off_rto():
@@ -235,21 +251,21 @@ def test_retransmitted_segments_never_sampled():
     timeout_tick = s.timer_expiry
     s.on_tick(timeout_tick)  # timeout wipes the in-flight sample
     assert s.timed_seq is None
-    s.try_send(timeout_tick, timeout_tick)  # go-back-N resend of seq 0: not timed
+    s.try_send(timeout_tick)  # go-back-N resend of seq 0: not timed
     assert s.timed_seq is None
     assert not s.est.initialized
-    s.on_ack(512, timeout_tick + 1, timeout_tick + 1)
+    s.on_ack(512, timeout_tick + 1)
     assert not s.est.initialized  # ack of a resent segment leaves it untouched
     # fresh data beyond max_sent starts a new sample
-    s.try_send(timeout_tick + 1, timeout_tick + 1)
+    s.try_send(timeout_tick + 1)
     assert s.timed_seq is not None
 
 
 def test_sample_taken_for_fresh_segment():
     s = _sender()
     s.cwnd = 2 * MSS
-    s.try_send(3, 3)
-    s.on_ack(512, 5, 5)
+    s.try_send(3)
+    s.on_ack(512, 5)
     assert s.est.initialized
     assert s.est.srtt8 >> 3 == 2
 
@@ -301,7 +317,7 @@ def test_window_invariants_under_random_traffic():
     for _ in range(3000):
         action = rng.random()
         if action < 0.55:
-            for seg in s.try_send(tick, tick):
+            for seg in s.try_send(tick):
                 in_flight.append(seg.seq)
         elif action < 0.9 and in_flight:
             # deliver a random prefix slice with random loss
@@ -310,7 +326,7 @@ def test_window_invariants_under_random_traffic():
                 seq = in_flight.pop(0)
                 if rng.random() < 0.8:
                     receiver.on_segment(seq, MSS)
-            s.on_ack(receiver.rcv_nxt, tick, tick)
+            s.on_ack(receiver.rcv_nxt, tick)
         else:
             tick += 1
             if s.on_tick(tick):
