@@ -16,8 +16,9 @@ departure) plus one per frame. RunResult reports each leg under its name,
 with its peak occupancy and zero drops.
 
 Every run checks itself, raising InvariantError: a port rejects a frame
-crossing it twice, a sender a post-timeout emission not at snd_una, and the
-run ends by checking each port's accounting and cell conservation.
+crossing it twice, a hop a queue its policy could have dropped from, a
+sender a post-timeout emission not at snd_una, and the run ends by checking
+each port's accounting and cell conservation.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ class Simulation:
         n = scenario.n_sources
         rate = scenario.link_rate_bps
         prop = scenario.link_delay_ns
+        end = scenario.duration_ns
         policy = scenario.policy
         fwd_cap, fwd_r = scenario.buffer_cells, scenario.r_cells
         rev_cap, rev_r = scenario.reverse_buffer_cells, scenario.reverse_r_cells
@@ -62,12 +64,12 @@ class Simulation:
         eng = self.engine
         # Switch B fan-out: one leg per destination host, over the bottleneck.
         self.b_dst_hops = [
-            SerializerHop(eng, f"B.dst{i}", fwd_cap, policy, fwd_r, rate, prop, self._on_data)
+            SerializerHop(eng, f"B.dst{i}", fwd_cap, policy, fwd_r, rate, prop, self._on_data, end)
             for i in range(n)
         ]
         # Switch A fan-out: one ack leg per source host, over the reverse link.
         self.a_src_hops = [
-            SerializerHop(eng, f"A.src{i}", rev_cap, policy, rev_r, rate, prop, self._on_ack)
+            SerializerHop(eng, f"A.src{i}", rev_cap, policy, rev_r, rate, prop, self._on_ack, end)
             for i in range(n)
         ]
         self.a_fwd_port = OutputPort(
@@ -144,9 +146,8 @@ class Simulation:
         n = scn.n_sources
         delivered_bytes = tuple(r.rcv_nxt for r in self.receivers)
         hops = self.b_dst_hops + self.a_src_hops
-        end = self.engine.now
         max_queue_by_port = {p.name: p.max_x for p in self.ports}
-        max_queue_by_port.update((h.name, h.peak(end)) for h in hops)
+        max_queue_by_port.update((h.name, h.peak) for h in hops)
         drops_by_port = {p.name: p.drops_total() for p in self.ports}
         drops_by_port.update((h.name, 0) for h in hops)
         drops_by_reason: dict[str, int] = {}
@@ -160,13 +161,11 @@ class Simulation:
         for p in self.ports:
             for vc in range(n):
                 drops_by_vc[vc] += p.drops_by_vc[vc]
-        discards = sum(h.discards(end) for h in hops)
         dropped = sum(drops_by_port.values())
-        in_hops = sum(h.in_flight(end) for h in hops)
-        # Pending CELL_ARRIVALs are cells on the links into the ports, plus
-        # one whole-frame delivery per frame a hop has scheduled at a host.
-        on_links = self.engine.pending(CELL_ARRIVAL) - sum(h.frames_pending(end) for h in hops)
-        residual = sum(p.x for p in self.ports) + on_links + in_hops
+        # Every frame a hop schedules fires within the run, so a CELL_ARRIVAL
+        # still pending at the end is always a cell on a link into a port.
+        on_links = self.engine.pending(CELL_ARRIVAL)
+        residual = sum(p.x for p in self.ports) + on_links + sum(h.late for h in hops)
         result = RunResult.from_counters(
             per_conn_delivered_bytes=delivered_bytes,
             duration_s=scn.duration_s,
@@ -177,11 +176,11 @@ class Simulation:
             drops_by_reason=drops_by_reason,
             drops_by_port=drops_by_port,
             drops_by_vc=tuple(drops_by_vc),
-            reassembly_discards=discards,
+            reassembly_discards=sum(h.reasm.discards for h in hops),
             retransmitted_segments=sum(s.retransmits for s in self.senders),
             timeouts=sum(s.timeouts for s in self.senders),
             cells_injected=self.cells_injected,
-            cells_delivered=sum(h.delivered(end) for h in hops),
+            cells_delivered=sum(h.cells - h.late for h in hops),
             cells_dropped=dropped,
             cells_residual=residual,
         )

@@ -187,8 +187,9 @@ def run_sweep(
     for point, row in zip(points, rows):
         if row.error is not None and report is not None:
             what = "run failed" if isinstance(point, Scenario) else "point rejected"
+            buffer = "infinite" if row.buffer_cells is None else row.buffer_cells
             print(f"sweep: {what} ({row.config}/{row.n_sources}/"
-                  f"{row.buffer_cells}/{row.policy}): {row.error}", file=report)
+                  f"{buffer}/{row.policy}): {row.error}", file=report)
     return rows
 
 

@@ -17,7 +17,7 @@ decision.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from enum import IntEnum
 from fractions import Fraction
@@ -233,18 +233,19 @@ class SerializerHop:
     host arrival. So it keeps that event's place among equal-time events
     (see EventQueue.schedule_as_of).
 
+    The hop counts at its run's horizon end. Its host arrival times never
+    decrease, so once a cell reaches the host after end, every later cell
+    does too: such a cell is counted in late and neither reassembled nor
+    scheduled, and every frame the hop schedules fires within the run.
+    So cells - late cells reach the host by end, and reasm.discards counts
+    the discards those cells made.
+
     One deque, done, holds the completion time of each cell not yet known
     to have reached the host (completion + prop_ns > now), trimmed as the
     clock passes. The cells in it completing at or after an arrival time
-    t + edge are still in the port, so a bisect gives the occupancy that
-    arrival finds. With done, and the host arrival times of the frames and
-    reassembly discards kept the same way, counters at a horizon end are
-    those of per-cell delivery: delivered(end), in_flight(end),
-    frames_pending(end) and discards(end) are exact for any end not behind
-    the clock.
-
-    peak(end) is the peak occupancy the replaced port would have reported
-    for a run ending at end; arrivals after end do not count. Should an
+    t + edge are still in the port, so a bisect gives the occupancy x that
+    arrival finds. peak is the most cells any arrival up to end found,
+    plus itself: the peak the replaced port would have reported. Should an
     arrival find as many cells as would have let that port's policy drop
     one (capacity for tail drop, min(capacity, R + 1) for the frame-aware
     policies), the hop raises InvariantError rather than let the result
@@ -252,8 +253,8 @@ class SerializerHop:
     """
 
     __slots__ = (
-        "engine", "name", "clock", "prop_ns", "sink", "limit", "edge", "done", "reached",
-        "reasm", "cells", "frames", "discarded",
+        "engine", "name", "clock", "prop_ns", "sink", "end", "limit", "edge", "done", "reasm",
+        "cells", "late", "peak",
     )
 
     def __init__(
@@ -266,12 +267,14 @@ class SerializerHop:
         rate_bps: int,
         prop_ns: int,
         sink,
+        end: int,
     ) -> None:
         self.engine = engine
         self.name = name
         self.clock = clock = CellClock(rate_bps)
         self.prop_ns = prop_ns
         self.sink = sink
+        self.end = end
         limit = UNBOUNDED if capacity is None else capacity
         if policy is not Policy.TAIL_DROP:
             limit = min(limit, r_cells + 1)
@@ -280,12 +283,10 @@ class SerializerHop:
         # edge 0 keeps one completing exactly at the arrival (tie joins).
         self.edge = 0 if prop_ns * clock.den >= clock.num else 1
         self.done: deque = deque()  # completion times of cells not yet at the host
-        self.reached: list[int] = []  # reached[k]: first arrival time finding k cells
         self.reasm = Reassembler()
         self.cells = 0  # cells handed to the hop
-        # Host arrival times not yet known to have passed, in time order:
-        self.frames: deque = deque()  # one per scheduled frame
-        self.discarded: deque = deque()  # one per reassembly discard
+        self.late = 0  # of those, cells reaching the host after end
+        self.peak = 0
 
     def on_cell(self, frame: Frame, idx: int) -> None:
         engine = self.engine
@@ -302,55 +303,15 @@ class SerializerHop:
                 f"{self.name}: a cell found {x} cells queued at t={t} ns, where the "
                 f"port's policy could drop it"
             )
-        if x == len(self.reached):
-            self.reached.append(t)
+        if x >= self.peak and t <= self.end:
+            self.peak = x + 1
         completion = self.clock.serve(None if x else t)
         done.append(completion)
         landed = completion + prop
         self.cells += 1
-        reasm = self.reasm
-        discards = reasm.discards
-        seg = reasm.push(frame, idx)
-        if reasm.discards != discards:
-            # A lone last cell whose frame lost its first cells adds two.
-            _note(self.discarded, now, landed, reasm.discards - discards)
+        if landed > self.end:
+            self.late += 1
+            return
+        seg = self.reasm.push(frame, idx)
         if seg is not None:
-            _note(self.frames, now, landed, 1)
             engine.schedule_as_of(completion, landed, CELL_ARRIVAL, self.sink, seg)
-
-    def peak(self, end: int) -> int:
-        """Most cells the leg held at once among arrivals up to time end."""
-        return bisect_right(self.reached, end)
-
-    def in_flight(self, end: int) -> int:
-        """Cells handed to the hop that reach the host after time end."""
-        return _after(self.done, end - self.prop_ns)
-
-    def delivered(self, end: int) -> int:
-        """Cells that reach the host by time end."""
-        return self.cells - self.in_flight(end)
-
-    def frames_pending(self, end: int) -> int:
-        """Scheduled frame deliveries that fire after time end."""
-        return _after(self.frames, end)
-
-    def discards(self, end: int) -> int:
-        """Reassembly discards made by cells reaching the host by time end."""
-        return self.reasm.discards - _after(self.discarded, end)
-
-
-def _note(times: deque, now: int, t: int, n: int) -> None:
-    """Append n entries of time t, first dropping those at or before now."""
-    while times and times[0] <= now:
-        times.popleft()
-    times.extend([t] * n)
-
-
-def _after(times: deque, end: int) -> int:
-    """Entries of an ascending deque later than end."""
-    n = 0
-    for t in reversed(times):
-        if t <= end:
-            break
-        n += 1
-    return n

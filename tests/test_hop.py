@@ -59,46 +59,52 @@ class _QueuedLeg:
         if seg is not None:
             self.sink(seg)
 
-    def counts(self, end):
+    def counts(self):
         return (self.port.max_x, self.delivered, self.reasm.discards,
                 self.cells - self.delivered)
 
 
-def _hop_counts(hop, end):
-    return hop.peak(end), hop.delivered(end), hop.discards(end), hop.in_flight(end)
+def _hop_counts(hop):
+    return hop.peak, hop.cells - hop.late, hop.reasm.discards, hop.late
 
 
 def _drive(prop, feed, n_vcs=1, hop=True, capacity=None, ends=(10**9,)):
     """Run cells through an upstream port into per-VC legs.
 
     feed(eng, upstream) schedules the upstream arrivals as APP_SEND events,
-    so every pending CELL_ARRIVAL of a hop run is a frame delivery. Returns
-    the (time, segment) log of every leg's host and, at each horizon in
-    ends, the log's length and each leg's (peak occupancy, cells delivered,
-    reassembly discards, cells in flight).
+    so a CELL_ARRIVAL still pending after a hop run would be a frame
+    delivery past the horizon. A hop counts at the horizon it is built
+    with, so each horizon in ends gets a hop run of its own; the queued
+    legs run once and are read at each horizon in turn. Returns the (time,
+    segment) log of every leg's host by the last horizon and, at each
+    horizon, the log's length and each leg's (peak occupancy, cells
+    delivered, reassembly discards, cells in flight).
     """
-    eng = EventQueue()
-    log = []
-
-    def sink(seg):
-        log.append((eng.now, seg))
-
-    if hop:
-        legs = [SerializerHop(eng, f"hop{v}", capacity, TAIL, None, RATE, prop, sink)
-                for v in range(n_vcs)]
-    else:
-        legs = [_QueuedLeg(eng, prop, sink, n_vcs) for _ in range(n_vcs)]
-    upstream = OutputPort(eng, "up", None, TAIL, None, None, RATE, [leg.on_cell for leg in legs])
-    feed(eng, upstream)
     snapshots = []
-    for end in ends:
-        eng.run_until(end)
+    for horizons in ([end] for end in ends) if hop else [ends]:
+        eng = EventQueue()
+        log = []
+
+        def sink(seg, eng=eng, log=log):
+            log.append((eng.now, seg))
+
         if hop:
-            counts = [_hop_counts(h, end) for h in legs]
-            assert eng.pending(CELL_ARRIVAL) == sum(h.frames_pending(end) for h in legs)
+            legs = [SerializerHop(eng, f"hop{v}", capacity, TAIL, None, RATE, prop, sink,
+                                  horizons[0])
+                    for v in range(n_vcs)]
         else:
-            counts = [leg.counts(end) for leg in legs]
-        snapshots.append((len(log), counts))
+            legs = [_QueuedLeg(eng, prop, sink, n_vcs) for _ in range(n_vcs)]
+        upstream = OutputPort(eng, "up", None, TAIL, None, None, RATE,
+                              [leg.on_cell for leg in legs])
+        feed(eng, upstream)
+        for end in horizons:
+            eng.run_until(end)
+            if hop:
+                counts = [_hop_counts(h) for h in legs]
+                assert eng.pending(CELL_ARRIVAL) == 0
+            else:
+                counts = [leg.counts() for leg in legs]
+            snapshots.append((len(log), counts))
     return log, snapshots
 
 
@@ -221,9 +227,9 @@ def test_hop_fails_loudly_where_the_queued_leg_could_drop():
 
 def test_frame_aware_limit_is_threshold_plus_one():
     eng = EventQueue()
-    epd = SerializerHop(eng, "h", 10, Policy.EPD, 1, RATE, 0, None)
+    epd = SerializerHop(eng, "h", 10, Policy.EPD, 1, RATE, 0, None, 10**9)
     assert epd.limit == 2
-    tail = SerializerHop(eng, "h", 10, TAIL, None, RATE, 0, None)
+    tail = SerializerHop(eng, "h", 10, TAIL, None, RATE, 0, None, 10**9)
     assert tail.limit == 10
 
 
@@ -234,10 +240,9 @@ def test_hop_keeps_only_cells_in_flight():
     prop = 100_000
     cells = [(0, c) for pid in range(400) for c in _frame(0, pid, 5)]
     eng = EventQueue()
-    hop = SerializerHop(eng, "hop", None, TAIL, None, RATE, prop, lambda seg: None)
+    hop = SerializerHop(eng, "hop", None, TAIL, None, RATE, prop, lambda seg: None, 10**9)
     upstream = OutputPort(eng, "up", None, TAIL, None, None, RATE, [hop.on_cell])
     _feed_cells(cells)(eng, upstream)
     eng.run_until(10**9)
-    assert hop.cells == 2000 and hop.delivered(10**9) == 2000
+    assert hop.cells == 2000 and hop.late == 0
     assert len(hop.done) <= 2 * prop // 2726 + 3
-    assert len(hop.frames) <= 2 * prop // (5 * 2726) + 2

@@ -162,7 +162,7 @@ def test_acks_survive_tight_reverse_buffer():
     assert all(b > 0 for b in result.per_conn_delivered_bytes)
 
 
-def test_conservation_is_checked_without_audit():
+def test_conservation_is_checked_on_every_run():
     sim = Simulation(_tiny(buffer=None))
 
     def lose_a_delivery(_):
@@ -171,6 +171,25 @@ def test_conservation_is_checked_without_audit():
     sim.engine.schedule(TENTH_SECOND // 2, APP_SEND, lose_a_delivery)
     with pytest.raises(InvariantError, match="conservation"):
         sim.run()
+
+
+def test_hops_schedule_no_delivery_past_the_horizon():
+    # 193-cell frames on the 5 ms hops, as in golden wan5-mss9180-infinite:
+    # the horizon cuts frames on the hops.
+    scn = build_scenario(config="wan", sources=5, mss=9180, duration_ns=TENTH_SECOND)
+    sim = Simulation(scn)
+    eng = sim.engine
+    deliveries = []
+    schedule_as_of = eng.schedule_as_of
+
+    def recording(origin, fire_time, kind, callback, payload=None):
+        deliveries.append(fire_time)
+        schedule_as_of(origin, fire_time, kind, callback, payload)
+
+    eng.schedule_as_of = recording
+    sim.run()
+    assert deliveries and max(deliveries) <= scn.duration_ns
+    assert any(h.late for h in sim.b_dst_hops + sim.a_src_hops)
 
 
 def test_port_accounting_is_checked_on_every_run():

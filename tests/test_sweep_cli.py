@@ -427,7 +427,7 @@ def test_invariant_error_in_a_sweep_is_one_error_row(tmp_path, monkeypatch, caps
 def test_sweep_reports_a_rejected_point_apart_from_a_failed_run(tmp_path, monkeypatch, capsys):
     _break_every_run(monkeypatch)
     sweep = tmp_path / "mixed.sweep"
-    sweep.write_text("[sweep]\nsources = 2\nbuffer = 1, 1000\npolicy = sd\n"
+    sweep.write_text("[sweep]\nsources = 2\nbuffer = 1, 1000, infinite\npolicy = sd\n"
                      "duration_s = 0.02\n")
     assert main(["sweep", str(sweep)]) == 0
     reports = [ln for ln in capsys.readouterr().err.splitlines() if "): " in ln]
@@ -436,6 +436,8 @@ def test_sweep_reports_a_rejected_point_apart_from_a_failed_run(tmp_path, monkey
         "SELECTIVE_DROP needs threshold 0 < R < K, got R=0 K=1 (R defaulted to "
         "floor(0.9 K); set r_cells or r_fraction)",
         "sweep: run failed (lan/2/1000/selective_drop): InvariantError: synthetic breakage",
+        "sweep: point rejected (lan/2/infinite/selective_drop): ScenarioError: buffer: policy "
+        "SELECTIVE_DROP requires a finite buffer",
     ]
 
 
