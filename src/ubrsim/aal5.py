@@ -41,23 +41,27 @@ def cells_for_segment(payload_len: int) -> int:
 
 class Frame:
     """One AAL5 frame in flight: its VC, its Segment, the index of its last
-    cell, and how many of its cells have reached the switch port.
+    cell, how many of its cells have reached the switch port, and whether
+    that port has doomed it.
 
     A run moves millions of cells, so a cell is not an object of its own:
     it is a reference to its frame, and its index in the train is implied
     by its position. A frame crosses exactly one switch port over lossless
     FIFO links, so the port numbers the cells as they arrive (arrived is
     the index of the next one) and queues each as the pair frame, index.
-    Frames compare by identity: two segments never share a frame.
+    A frame-aware port that drops one of its cells sets doomed, and drops
+    the rest of the frame. Frames compare by identity: two segments never
+    share a frame.
     """
 
-    __slots__ = ("vc", "seg", "last", "arrived")
+    __slots__ = ("vc", "seg", "last", "arrived", "doomed")
 
     def __init__(self, seg: Segment, n_cells: int) -> None:
         self.vc = seg.conn_id
         self.seg = seg
         self.last = n_cells - 1
         self.arrived = 0
+        self.doomed = False
 
 
 def segment_to_cells(segment: Segment) -> list[Frame]:

@@ -8,9 +8,11 @@ runner executes independent runs in separate processes.
 Only the two shared ports queue: A.fwd (data onto the bottleneck) and B.rev
 (acks back). The per-host legs behind them, B.dst<i> to destination i and
 A.src<i> to source i, each carry one VC fed at line rate by one same-rate
-port, so each is a switches.SerializerHop, not a queue. The hop docstring
-says how it times cells, breaks ties, delivers whole frames to the host and
-counts cells at the horizon, all as a queued leg with per-cell delivery
+port, so each is a switches.SerializerHop, not a queue. Both directions are
+wired the same way: a link per connection into the shared port, and a leg
+per connection out of it to the host. The hop docstring says how it times
+cells, finds its occupancy, breaks ties, delivers whole frames to the host
+and counts cells at the horizon, all as a queued leg with per-cell delivery
 would. That is two engine events per data cell (link arrival, bottleneck
 departure) plus one per frame. RunResult reports each leg under its name,
 with its peak occupancy and zero drops.
@@ -42,8 +44,6 @@ class Simulation:
         prop = scenario.link_delay_ns
         end = scenario.duration_ns
         policy = scenario.policy
-        fwd_cap, fwd_r = scenario.buffer_cells, scenario.r_cells
-        rev_cap, rev_r = scenario.reverse_buffer_cells, scenario.reverse_r_cells
 
         self.cells_injected = 0
 
@@ -62,41 +62,38 @@ class Simulation:
         self.receivers = [TcpReceiver(scenario.mss) for _ in range(n)]
 
         eng = self.engine
-        # Switch B fan-out: one leg per destination host, over the bottleneck.
-        self.b_dst_hops = [
-            SerializerHop(eng, f"B.dst{i}", fwd_cap, policy, fwd_r, rate, prop, self._on_data, end)
-            for i in range(n)
-        ]
-        # Switch A fan-out: one ack leg per source host, over the reverse link.
-        self.a_src_hops = [
-            SerializerHop(eng, f"A.src{i}", rev_cap, policy, rev_r, rate, prop, self._on_ack, end)
-            for i in range(n)
-        ]
-        self.a_fwd_port = OutputPort(
-            eng, "A.fwd", fwd_cap, policy, fwd_r, scenario.z, rate,
-            [h.on_cell for h in self.b_dst_hops],
-        )
-        self.b_rev_port = OutputPort(
-            eng, "B.rev", rev_cap, policy, rev_r, scenario.z, rate,
-            [h.on_cell for h in self.a_src_hops],
-        )
+
+        def path(port_name, hop_prefix, capacity, r_cells, host):
+            """One direction: a link per connection into the shared port,
+            and a leg per connection from that port to its host."""
+            hops = [
+                SerializerHop(eng, f"{hop_prefix}{i}", capacity, policy, r_cells, rate, prop,
+                              host, end)
+                for i in range(n)
+            ]
+            port = OutputPort(eng, port_name, capacity, policy, r_cells, scenario.z, rate,
+                              [h.on_cell for h in hops])
+            links = [CellLink(eng, rate, prop, port.on_cell_arrival) for _ in range(n)]
+            return links, port, hops
+
+        # Data: source i -> A.fwd -> bottleneck -> B.dst<i> -> destination i.
+        self.data_links, self.a_fwd_port, self.b_dst_hops = path(
+            "A.fwd", "B.dst", scenario.buffer_cells, scenario.r_cells, self._on_data)
+        # Acks: destination i -> B.rev -> reverse link -> A.src<i> -> source i.
+        self.ack_links, self.b_rev_port, self.a_src_hops = path(
+            "B.rev", "A.src", scenario.reverse_buffer_cells, scenario.reverse_r_cells,
+            self._on_ack)
         self.ports = [self.a_fwd_port, self.b_rev_port]
-        # Per connection: the source's data link and the destination's ack link.
-        self.data_links = [CellLink(eng, rate, prop, self.a_fwd_port.on_cell_arrival)
-                           for _ in range(n)]
-        self.ack_links = [CellLink(eng, rate, prop, self.b_rev_port.on_cell_arrival)
-                          for _ in range(n)]
 
         self.cwnd_traces: list[list[tuple[int, int]]] | None = (
             [[] for _ in range(n)] if collect_cwnd else None
         )
 
     def emit_segments(self, segments, link: CellLink) -> None:
-        cells = []
         for seg in segments:
-            cells.extend(segment_to_cells(seg))
-        self.cells_injected += len(cells)
-        link.send_cells(cells)
+            cells = segment_to_cells(seg)
+            self.cells_injected += len(cells)
+            link.send_cells(cells)
 
     def record_cwnd(self, conn: int) -> None:
         cwnd = self.senders[conn].cwnd

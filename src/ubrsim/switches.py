@@ -17,7 +17,6 @@ decision.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from collections import deque
 from enum import IntEnum
 from fractions import Fraction
@@ -58,6 +57,9 @@ class OutputPort:
     so the per-cell cost stays O(1); check() tests the accounting identities
     in O(VCs), and Simulation calls it at the end of every run. An admitted
     cell past its frame's last raises: a frame crosses one port only once.
+    For the same reason a frame-aware port marks a frame it drops a cell of
+    as doomed on the frame itself (see aal5.Frame), and drops every later
+    cell of a doomed frame with CONTINUED_PACKET_DISCARD.
 
     A cell arrives as a reference to its Frame (see aal5.Frame). The port
     numbers a frame's cells from the frame's arrival counter, and queues
@@ -94,8 +96,6 @@ class OutputPort:
         self.x = 0
         self.y = [0] * n_vcs
         self.na = 0
-        # The frame each VC is discarding the rest of; never set under tail drop.
-        self.discarding: list[Frame | None] = [None] * n_vcs
         self.clock = CellClock(rate_bps)
         self.next_hop = list(next_hop)
         # statistics
@@ -110,7 +110,7 @@ class OutputPort:
         vc = frame.vc
         x = self.x
         reason = _ADMITTED
-        if self.discarding[vc] is frame:
+        if frame.doomed:
             reason = DropReason.CONTINUED_PACKET_DISCARD
         elif x >= self.k:
             reason = DropReason.BUFFER_FULL
@@ -131,17 +131,13 @@ class OutputPort:
             self.drops_by_reason[reason] += 1
             self.drops_by_vc[vc] += 1
             if self.frame_aware:
-                # Poison the rest of this frame; the end-of-frame cell
-                # (accepted or dropped) re-arms the VC for the next one.
-                self.discarding[vc] = None if idx == frame.last else frame
+                frame.doomed = True  # the rest of this frame is dropped too
         else:
-            if idx >= frame.last:
-                if idx > frame.last:
-                    raise InvariantError(
-                        f"{self.name}: cell {idx} of a {frame.last + 1}-cell frame arrived; "
-                        f"a frame must cross one port only once"
-                    )
-                self.discarding[vc] = None
+            if idx > frame.last:
+                raise InvariantError(
+                    f"{self.name}: cell {idx} of a {frame.last + 1}-cell frame arrived; "
+                    f"a frame must cross one port only once"
+                )
             queue = self.queue
             queue.append(frame)
             queue.append(idx)
@@ -240,16 +236,18 @@ class SerializerHop:
     So cells - late cells reach the host by end, and reasm.discards counts
     the discards those cells made.
 
-    One deque, done, holds the completion time of each cell not yet known
-    to have reached the host (completion + prop_ns > now), trimmed as the
-    clock passes. The cells in it completing at or after an arrival time
-    t + edge are still in the port, so a bisect gives the occupancy x that
-    arrival finds. peak is the most cells any arrival up to end found,
-    plus itself: the peak the replaced port would have reported. Should an
-    arrival find as many cells as would have let that port's policy drop
-    one (capacity for tail drop, min(capacity, R + 1) for the frame-aware
-    policies), the hop raises InvariantError rather than let the result
-    drift from the queued model.
+    One deque, done, holds the completion times of the cells in the port,
+    so its length is the occupancy x an arrival finds. Each arrival at t
+    first drops the cells completing before t + edge: they have left the
+    port. Completion times only grow, so done is sorted and the cells that
+    have left are at its front; arrival times never decrease, so a cell
+    gone before one arrival is gone before every later one. peak is the
+    most cells any arrival up to end found, plus itself: the peak the
+    replaced port would have reported. Should an arrival find as many
+    cells as would have let that port's policy drop one (capacity for tail
+    drop, min(capacity, R + 1) for the frame-aware policies), the hop
+    raises InvariantError rather than let the result drift from the queued
+    model.
     """
 
     __slots__ = (
@@ -282,7 +280,7 @@ class SerializerHop:
         # Cells completing before arrival time + edge have left the port:
         # edge 0 keeps one completing exactly at the arrival (tie joins).
         self.edge = 0 if prop_ns * clock.den >= clock.num else 1
-        self.done: deque = deque()  # completion times of cells not yet at the host
+        self.done: deque = deque()  # completion times of the cells in the port
         self.reasm = Reassembler()
         self.cells = 0  # cells handed to the hop
         self.late = 0  # of those, cells reaching the host after end
@@ -294,10 +292,10 @@ class SerializerHop:
         prop = self.prop_ns
         t = now + prop
         done = self.done
-        landed_by = now - prop
-        while done and done[0] <= landed_by:
+        left = t + self.edge
+        while done and done[0] < left:
             done.popleft()
-        x = len(done) - bisect_left(done, t + self.edge)
+        x = len(done)
         if x >= self.limit:
             raise InvariantError(
                 f"{self.name}: a cell found {x} cells queued at t={t} ns, where the "

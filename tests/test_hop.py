@@ -233,9 +233,9 @@ def test_frame_aware_limit_is_threshold_plus_one():
     assert tail.limit == 10
 
 
-def test_hop_keeps_only_cells_in_flight():
-    # A long steady stream: the hop's per-cell store holds the cells between
-    # the upstream port and the host (two links and the leg's port), not
+def test_hop_keeps_only_cells_in_its_port():
+    # A long steady stream at line rate: the hop's per-cell store holds the
+    # cells in the leg's port, at most two, not the cells on its links or
     # every cell it has seen.
     prop = 100_000
     cells = [(0, c) for pid in range(400) for c in _frame(0, pid, 5)]
@@ -245,4 +245,4 @@ def test_hop_keeps_only_cells_in_flight():
     _feed_cells(cells)(eng, upstream)
     eng.run_until(10**9)
     assert hop.cells == 2000 and hop.late == 0
-    assert len(hop.done) <= 2 * prop // 2726 + 3
+    assert len(hop.done) <= 2

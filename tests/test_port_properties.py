@@ -70,6 +70,9 @@ def test_port_invariants_under_random_frame_trains(run):
             frame = current[vc] = Frame(Segment(vc, 0, 0), size)
         x, idx = port.x, frame.arrived
         decision = port.on_cell_arrival(frame)
+        # A discard mark covers the rest of its own frame only: never the
+        # VC's next frame, another VC, or any frame under tail drop.
+        assert (decision is DropReason.CONTINUED_PACKET_DISCARD) == (frame_aware and frame in hit)
         port.check()
         serving_iff_queued()
         assert frame.arrived == idx + 1
