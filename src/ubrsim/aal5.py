@@ -1,15 +1,14 @@
 """TCP segments to ATM cell trains and back, plus cell-clocked links.
 
-Each segment carries 56 bytes of layered overhead (20 TCP + 20 IP + 8 LLC +
-8 AAL5 trailer) and pads into 48-byte cell payloads, so a 512-byte data
-segment occupies exactly 12 cells of 53 wire bytes each and a bare ack
-occupies 2. A cell is a reference to its Frame, not an object of its own.
-Links never drop cells; only switch ports do.
+A TCP segment is its AAL5 Frame, from sender to sink. It carries 56 bytes
+of layered overhead (20 TCP + 20 IP + 8 LLC + 8 AAL5 trailer) and pads
+into 48-byte cell payloads, so a 512-byte data segment occupies exactly 12
+cells of 53 wire bytes each and a bare ack occupies 2. A cell is a
+reference to its Frame, not an object of its own. Links never drop cells;
+only switch ports do.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -18,17 +17,6 @@ from .engine import CELL_ARRIVAL, NS_PER_SEC
 CELL_WIRE_BYTES = 53
 CELL_PAYLOAD_BYTES = 48
 FRAME_OVERHEAD_BYTES = 56  # 20 TCP + 20 IP + 8 LLC + 8 AAL5 trailer
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One TCP protocol data unit; pure acks have payload_len 0. Data and
-    acks are told apart by the path that delivers them, not by a flag."""
-
-    conn_id: int
-    seq: int
-    payload_len: int
-    ack_no: int = 0
 
 
 def cells_for_segment(payload_len: int) -> int:
@@ -40,9 +28,10 @@ def cells_for_segment(payload_len: int) -> int:
 
 
 class Frame:
-    """One AAL5 frame in flight: its VC, its Segment, the index of its last
-    cell, how many of its cells have reached the switch port, and whether
-    that port has doomed it.
+    """One TCP segment as one AAL5 frame: its VC (the connection), seq,
+    payload_len (0 for a pure ack) and ack_no, the index of its last cell,
+    how many of its cells have reached the switch port, and whether that
+    port has doomed it. Data and acks are told apart by their path.
 
     A run moves millions of cells, so a cell is not an object of its own:
     it is a reference to its frame, and its index in the train is implied
@@ -50,25 +39,25 @@ class Frame:
     FIFO links, so the port numbers the cells as they arrive (arrived is
     the index of the next one) and queues each as the pair frame, index.
     A frame-aware port that drops one of its cells sets doomed, and drops
-    the rest of the frame. Frames compare by identity: two segments never
-    share a frame.
+    the rest of the frame. Frames compare by identity: each transmission
+    of a segment, a retransmission included, is a frame of its own.
     """
 
-    __slots__ = ("vc", "seg", "last", "arrived", "doomed")
+    __slots__ = ("vc", "seq", "payload_len", "ack_no", "last", "arrived", "doomed")
 
-    def __init__(self, seg: Segment, n_cells: int) -> None:
-        self.vc = seg.conn_id
-        self.seg = seg
-        self.last = n_cells - 1
+    def __init__(self, vc: int, seq: int, payload_len: int, ack_no: int = 0) -> None:
+        self.vc = vc
+        self.seq = seq
+        self.payload_len = payload_len
+        self.ack_no = ack_no
+        self.last = cells_for_segment(payload_len) - 1
         self.arrived = 0
         self.doomed = False
 
 
-def segment_to_cells(segment: Segment) -> list[Frame]:
-    """Frame a segment into its ordered cell train: one reference to a new
-    Frame per cell."""
-    n = cells_for_segment(segment.payload_len)
-    return [Frame(segment, n)] * n
+def segment_to_cells(frame: Frame) -> list[Frame]:
+    """A frame's ordered cell train: one reference to the frame per cell."""
+    return [frame] * (frame.last + 1)
 
 
 class Reassembler:
@@ -87,8 +76,8 @@ class Reassembler:
         self.count = 0
         self.discards = 0
 
-    def push(self, frame: Frame, idx: int) -> Segment | None:
-        """Feed cell idx of frame; returns the completed Segment or None."""
+    def push(self, frame: Frame, idx: int) -> Frame | None:
+        """Feed cell idx of frame; returns the frame once complete, else None."""
         if frame is not self.frame:
             if self.frame is not None and self.count:
                 self.discards += 1
@@ -101,7 +90,7 @@ class Reassembler:
                 self.discards += 1
             self.frame = None
             self.count = 0
-            return frame.seg if complete else None
+            return frame if complete else None
         return None
 
 

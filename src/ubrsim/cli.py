@@ -7,13 +7,14 @@ early, as under `| head`), 1 invalid input, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
 from .engine import InvariantError
 from .scenario import parse_scenario_file
 from .sim import Simulation, run_scenario
-from .sweep import SweepSpec, emit_results, parse_sweep_file, row_for, run_sweep
+from .sweep import SweepSpec, emit_results, open_output, parse_sweep_file, row_for, run_sweep
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -103,8 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     scenario = parse_scenario_file(args.scenario)
-    result = run_scenario(scenario)
-    emit_results([row_for(scenario, result)], args.format, args.output)
+    with open_output(args.output) as out:
+        emit_results([row_for(scenario, run_scenario(scenario))], args.format, out)
     return EXIT_OK
 
 
@@ -117,22 +118,25 @@ def _cmd_sweep(args) -> int:
     expanded = [spec.scenarios() for spec in specs]
     sizes = " + ".join(str(len(points)) for points in expanded)
     print(f"sweep: cross product of {sizes} points", file=sys.stderr)
-    rows = run_sweep([point for points in expanded for point in points],
-                     parallelism=args.parallel, report=sys.stderr)
-    emit_results(rows, args.format, args.output)
+    with open_output(args.output) as out:
+        rows = run_sweep([point for points in expanded for point in points],
+                         parallelism=args.parallel, report=sys.stderr)
+        emit_results(rows, args.format, out)
     return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
     sim = Simulation(parse_scenario_file(args.scenario), collect_cwnd=True)
-    sim.run()
-    for conn, trace in enumerate(sim.cwnd_traces):
-        lines = "".join(f"{t},{cwnd}\n" for t, cwnd in trace)
-        if args.output is None:
-            sys.stdout.write(f"# conn {conn}\n{lines}")
-        else:
-            with open(f"{args.output}.conn{conn}.csv", "w", encoding="utf-8") as fh:
-                fh.write(lines)
+    with contextlib.ExitStack() as stack:
+        outs = [stack.enter_context(open_output(args.output and f"{args.output}.conn{conn}.csv"))
+                for conn in range(sim.scenario.n_sources)]
+        sim.run()
+        for conn, (out, trace) in enumerate(zip(outs, sim.cwnd_traces)):
+            lines = "".join(f"{t},{cwnd}\n" for t, cwnd in trace)
+            if out is None:
+                sys.stdout.write(f"# conn {conn}\n{lines}")
+            else:
+                out.write(lines)
     return EXIT_OK
 
 

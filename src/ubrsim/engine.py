@@ -16,11 +16,11 @@ NS_PER_US = 1_000
 
 # Event kind tags. The engine ignores them; diagnostics and end-of-run
 # checks use them to classify queued events. A CELL_ARRIVAL entry's payload
-# is the aal5.Frame of one in-flight cell (the cell is a reference to its
-# frame) or, when a serializer hop delivers to a host, the Segment of a whole
-# reassembled frame. A hop schedules only deliveries that fire within its
-# run, so a CELL_ARRIVAL still pending at the end of a run is always a cell
-# on a link.
+# is always an aal5.Frame: that of one in-flight cell (the cell is a
+# reference to its frame) or, when a serializer hop delivers to a host, the
+# whole reassembled frame. A hop schedules only deliveries that fire within
+# its run, so a CELL_ARRIVAL still pending at the end of a run is always a
+# cell on a link.
 CELL_ARRIVAL = 1
 CELL_DEPARTURE = 2
 TIMER_TICK = 3

@@ -25,7 +25,7 @@ each port's accounting and cell conservation.
 
 from __future__ import annotations
 
-from .aal5 import CellLink, Segment, segment_to_cells
+from .aal5 import CellLink, Frame, segment_to_cells
 from .engine import APP_SEND, CELL_ARRIVAL, TIMER_TICK, EventQueue, InvariantError
 from .metrics import RunResult
 from .scenario import Scenario
@@ -89,9 +89,9 @@ class Simulation:
             [[] for _ in range(n)] if collect_cwnd else None
         )
 
-    def emit_segments(self, segments, link: CellLink) -> None:
-        for seg in segments:
-            cells = segment_to_cells(seg)
+    def emit_segments(self, frames, link: CellLink) -> None:
+        for frame in frames:
+            cells = segment_to_cells(frame)
             self.cells_injected += len(cells)
             link.send_cells(cells)
 
@@ -101,16 +101,16 @@ class Simulation:
         if not trace or trace[-1][1] != cwnd:
             trace.append((self.engine.now, cwnd))
 
-    def _on_data(self, seg: Segment) -> None:
+    def _on_data(self, frame: Frame) -> None:
         """A whole data frame reaches its destination host: ack it."""
-        conn = seg.conn_id
-        ack_no = self.receivers[conn].on_segment(seg.seq, seg.payload_len)
-        self.emit_segments((Segment(conn, 0, 0, ack_no),), self.ack_links[conn])
+        conn = frame.vc
+        ack_no = self.receivers[conn].on_segment(frame.seq, frame.payload_len)
+        self.emit_segments((Frame(conn, 0, 0, ack_no),), self.ack_links[conn])
 
-    def _on_ack(self, seg: Segment) -> None:
+    def _on_ack(self, frame: Frame) -> None:
         """A whole ack frame reaches its source host."""
-        conn = seg.conn_id
-        if self.senders[conn].on_ack(seg.ack_no, self.engine.now):
+        conn = frame.vc
+        if self.senders[conn].on_ack(frame.ack_no, self.engine.now):
             self._send(conn)
 
     def _on_tick(self, _arg) -> None:

@@ -12,6 +12,7 @@ function of the spec.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -229,19 +230,24 @@ def results_json(rows) -> str:
     return json.dumps([_row_object(r) for r in rows], indent=2) + "\n"
 
 
+def open_output(destination):
+    """destination opened for writing, or a null context for stdout (None or
+    "-"). The CLI opens it before its first run, so a bad path fails at once."""
+    if destination is None or destination == "-":
+        return contextlib.nullcontext()
+    try:
+        return open(destination, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(f"cannot write results to {destination!r}: {exc}") from exc
+
+
 def emit_results(rows, fmt: str = "csv", destination=None) -> None:
     """Write rows as CSV or JSON to a path, file object, or stdout."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     text = results_csv(rows) if fmt == "csv" else results_json(rows)
-    if destination is None or destination == "-":
-        sys.stdout.write(text)
-        return
     if hasattr(destination, "write"):
         destination.write(text)
         return
-    try:
-        with io.open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write results to {destination!r}: {exc}") from exc
+    with open_output(destination) as fh:
+        (fh or sys.stdout).write(text)

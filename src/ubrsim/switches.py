@@ -210,8 +210,8 @@ class SerializerHop:
     Cells reach the host in the order they reach the hop, so reassembly
     gives the same frames whenever it runs. Only when a
     push completes a frame does the hop schedule an event: one CELL_ARRIVAL
-    at sink, at the last cell's host arrival, whose payload is the frame's
-    Segment. A cell that completes nothing schedules nothing.
+    at sink, at the last cell's host arrival, whose payload is the frame
+    itself. A cell that completes nothing schedules nothing.
 
     Tie rule: a cell arriving at t joins the current busy period if t is
     before the completion of the last cell, and also when t equals it if
@@ -310,6 +310,5 @@ class SerializerHop:
         if landed > self.end:
             self.late += 1
             return
-        seg = self.reasm.push(frame, idx)
-        if seg is not None:
-            engine.schedule_as_of(completion, landed, CELL_ARRIVAL, self.sink, seg)
+        if self.reasm.push(frame, idx) is not None:
+            engine.schedule_as_of(completion, landed, CELL_ARRIVAL, self.sink, frame)

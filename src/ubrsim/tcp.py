@@ -12,7 +12,7 @@ coarse clock cannot observe sub-tick arming.
 
 from __future__ import annotations
 
-from .aal5 import Segment
+from .aal5 import Frame
 from .engine import InvariantError
 
 
@@ -94,7 +94,7 @@ class TcpSender:
         next tick boundary."""
         return (now + self.tick_ns - 1) // self.tick_ns + self.est.rto
 
-    def try_send(self, now: int) -> list[Segment]:
+    def try_send(self, now: int) -> list[Frame]:
         """Emit every full segment the window permits at now ns; advance snd_nxt."""
         mss = self.mss
         limit = self.snd_una + min(self.cwnd, self.rcvwnd)
@@ -107,7 +107,7 @@ class TcpSender:
                 # Karn: time only segments sent exactly once.
                 self.timed_seq = nxt
                 self.timed_tick = now // self.tick_ns
-            out.append(Segment(self.conn_id, nxt, mss))
+            out.append(Frame(self.conn_id, nxt, mss))
             nxt += mss
         if out:
             if self._retx_pending:

@@ -14,7 +14,6 @@ from ubrsim.aal5 import (
     CellLink,
     Frame,
     Reassembler,
-    Segment,
     cell_time_fraction,
     cells_for_segment,
     segment_to_cells,
@@ -57,31 +56,34 @@ def _numbered(cells):
 
 
 def test_segment_to_cells_shape():
-    seg = Segment(3, 4096, 512)
-    cells = segment_to_cells(seg)
+    frame = Frame(3, 4096, 512)
+    cells = segment_to_cells(frame)
     assert len(cells) == 12
-    frame = cells[0]
     assert [i == frame.last for i in range(12)] == [False] * 11 + [True]
-    assert all(c.vc == 3 and c is frame and c.seg is seg for c in cells)
-    assert frame.arrived == 0
+    assert all(c is frame for c in cells)
+    assert (frame.vc, frame.seq, frame.payload_len, frame.ack_no) == (3, 4096, 512, 0)
+    assert frame.arrived == 0 and not frame.doomed
 
 
 def test_segment_to_cells_is_n_references_to_one_frame():
-    cells = segment_to_cells(Segment(2, 0, 9180))
+    cells = segment_to_cells(Frame(2, 0, 9180))
     assert len(cells) == cells_for_segment(9180) == 193
     assert len({id(c) for c in cells}) == 1
     assert isinstance(cells[0], Frame) and cells[0].last == 192
+    # A frame sizes its own train: 40 bytes fill 2 cells exactly, 1,460 make 32.
+    for payload, n in ((0, 2), (40, 2), (41, 3), (512, 12), (1460, 32)):
+        assert len(segment_to_cells(Frame(0, 0, payload))) == _cells_by_packing(payload) == n
 
 
 def test_ack_is_two_cells_with_last_marked():
-    cells = segment_to_cells(Segment(0, 0, 0, ack_no=512))
+    cells = segment_to_cells(Frame(0, 0, 0, ack_no=512))
     assert len(cells) == 2
     assert [i == cells[i].last for i in range(2)] == [False, True]
 
 
 def test_consecutive_segments_use_distinct_frames():
-    a = segment_to_cells(Segment(0, 0, 512))
-    b = segment_to_cells(Segment(0, 512, 512))
+    a = segment_to_cells(Frame(0, 0, 512))
+    b = segment_to_cells(Frame(0, 512, 512))
     assert {id(c) for c in a} == {id(a[0])}
     assert {id(c) for c in b} == {id(b[0])}
     assert a[0] is not b[0]
@@ -89,28 +91,28 @@ def test_consecutive_segments_use_distinct_frames():
 
 def test_reassembly_roundtrip_is_identity():
     reasm = Reassembler()
-    for seg in (Segment(1, 0, 512), Segment(1, 0, 0, 512), Segment(1, 512, 512)):
-        cells = _numbered(segment_to_cells(seg))
+    for frame in (Frame(1, 0, 512), Frame(1, 0, 0, 512), Frame(1, 512, 512)):
+        cells = _numbered(segment_to_cells(frame))
         results = [reasm.push(*c) for c in cells]
         assert results[:-1] == [None] * (len(cells) - 1)
-        assert results[-1] is seg
+        assert results[-1] is frame
     assert reasm.discards == 0
 
 
 def test_tail_loss_discards_on_next_packet():
     reasm = Reassembler()
-    first = _numbered(segment_to_cells(Segment(0, 0, 512)))
-    second = _numbered(segment_to_cells(Segment(0, 512, 512)))
+    first = _numbered(segment_to_cells(Frame(0, 0, 512)))
+    second = _numbered(segment_to_cells(Frame(0, 512, 512)))
     for cell in first[:11]:  # last cell lost in the network
         assert reasm.push(*cell) is None
     out = [reasm.push(*c) for c in second]
     assert reasm.discards == 1
-    assert out[-1] is second[0][0].seg
+    assert out[-1] is second[0][0]
 
 
 def test_head_loss_discards_on_last_cell():
     reasm = Reassembler()
-    cells = _numbered(segment_to_cells(Segment(0, 0, 512)))
+    cells = _numbered(segment_to_cells(Frame(0, 0, 512)))
     for cell in cells[1:]:  # first cell lost
         result = reasm.push(*cell)
     assert result is None
@@ -119,7 +121,7 @@ def test_head_loss_discards_on_last_cell():
 
 def test_mid_loss_discards():
     reasm = Reassembler()
-    cells = _numbered(segment_to_cells(Segment(0, 0, 512)))
+    cells = _numbered(segment_to_cells(Frame(0, 0, 512)))
     for cell in cells[:4] + cells[6:]:
         result = reasm.push(*cell)
     assert result is None
@@ -142,7 +144,7 @@ def test_idle_link_arrival_time():
     arrivals = []
     link = CellLink(eng, RATE, 5_000, lambda cell: arrivals.append(eng.now))
     eng.run_until(1_000)
-    link.send_cells(segment_to_cells(Segment(0, 0, 0)))
+    link.send_cells(segment_to_cells(Frame(0, 0, 0)))
     eng.run_until(100_000)
     assert eng.pending(CELL_ARRIVAL) == 0
     assert arrivals[0] == 1_000 + 2_726 + 5_000
@@ -166,7 +168,7 @@ def test_back_to_back_cells_spaced_one_cell_time():
     eng = EventQueue()
     arrivals = []
     link = CellLink(eng, RATE, 0, lambda cell: arrivals.append(eng.now))
-    link.send_cells(segment_to_cells(Segment(0, 0, 512)))
+    link.send_cells(segment_to_cells(Frame(0, 0, 512)))
     eng.run_until(10**9)
     assert len(arrivals) == 12
     gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
@@ -177,7 +179,7 @@ def test_wan_propagation_dominates():
     eng = EventQueue()
     arrivals = []
     link = CellLink(eng, RATE, 5_000_000, lambda cell: arrivals.append(eng.now))
-    link.send_cells(segment_to_cells(Segment(0, 0, 0)))
+    link.send_cells(segment_to_cells(Frame(0, 0, 0)))
     eng.run_until(10**9)
     assert arrivals[0] == 2726 + 5_000_000
 
@@ -186,10 +188,10 @@ def test_busy_link_serializes_later_offer():
     eng = EventQueue()
     arrivals = []
     link = CellLink(eng, RATE, 0, lambda cell: arrivals.append(eng.now))
-    link.send_cells(segment_to_cells(Segment(0, 0, 0)))
+    link.send_cells(segment_to_cells(Frame(0, 0, 0)))
     # offered mid-transmission of the first train: must queue behind it
     eng.run_until(1000)
-    link.send_cells(segment_to_cells(Segment(0, 0, 0)))
+    link.send_cells(segment_to_cells(Frame(0, 0, 0)))
     eng.run_until(10**9)
     assert len(arrivals) == 4
     assert all(b - a >= 2726 for a, b in zip(arrivals, arrivals[1:]))

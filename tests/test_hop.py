@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from ubrsim.aal5 import Frame, Reassembler, Segment
+from ubrsim.aal5 import Frame, Reassembler
 from ubrsim.engine import APP_SEND, CELL_ARRIVAL, EventQueue, InvariantError
 from ubrsim.switches import OutputPort, Policy, SerializerHop
 
@@ -16,9 +16,10 @@ TAIL = Policy.TAIL_DROP
 
 
 def _frame(vc, pid, n):
-    """The n cells of one AAL5 frame, carrying a Segment that names it, as
+    """The n cells of one AAL5 frame on VC vc, numbered pid by its seq, as
     (frame, index) pairs."""
-    frame = Frame(Segment(vc, pid, 0), n)
+    frame = Frame(vc, pid, 0)
+    frame.last = n - 1
     return [(frame, i) for i in range(n)]
 
 
@@ -55,9 +56,9 @@ class _QueuedLeg:
 
     def _land(self, cell):
         self.delivered += 1
-        seg = self.reasm.push(*cell)
-        if seg is not None:
-            self.sink(seg)
+        frame = self.reasm.push(*cell)
+        if frame is not None:
+            self.sink(frame)
 
     def counts(self):
         return (self.port.max_x, self.delivered, self.reasm.discards,
@@ -76,7 +77,8 @@ def _drive(prop, feed, n_vcs=1, hop=True, capacity=None, ends=(10**9,)):
     delivery past the horizon. A hop counts at the horizon it is built
     with, so each horizon in ends gets a hop run of its own; the queued
     legs run once and are read at each horizon in turn. Returns the (time,
-    segment) log of every leg's host by the last horizon and, at each
+    vc, seq) log of the frames every leg's host got by the last horizon
+    (frames compare by identity, so a log names them by value) and, at each
     horizon, the log's length and each leg's (peak occupancy, cells
     delivered, reassembly discards, cells in flight).
     """
@@ -85,8 +87,8 @@ def _drive(prop, feed, n_vcs=1, hop=True, capacity=None, ends=(10**9,)):
         eng = EventQueue()
         log = []
 
-        def sink(seg, eng=eng, log=log):
-            log.append((eng.now, seg))
+        def sink(frame, eng=eng, log=log):
+            log.append((eng.now, frame.vc, frame.seq))
 
         if hop:
             legs = [SerializerHop(eng, f"hop{v}", capacity, TAIL, None, RATE, prop, sink,
@@ -135,7 +137,7 @@ def test_tie_starts_fresh_period_on_link_shorter_than_a_cell_time():
     log, snapshots = _drive(prop, _tie_feed)
     # Upstream departures at 2726 and 5452; the leg finishes the first cell at
     # 5452 + prop, the instant the second arrives, and has already let it go.
-    assert [t for t, _ in log] == [5452 + 2 * prop, 5452 + 2726 + 2 * prop]
+    assert [t for t, *_ in log] == [5452 + 2 * prop, 5452 + 2726 + 2 * prop]
     assert _peaks(snapshots) == [1]
     assert (log, snapshots) == _drive(prop, _tie_feed, hop=False)
 
@@ -145,7 +147,7 @@ def test_tie_joins_busy_period_on_link_at_least_a_cell_time():
     log, snapshots = _drive(prop, _tie_feed)
     # The second cell joins the busy period begun at 2726 + prop: it completes
     # at the period's second exact cell boundary, round(2 * 662500/243) = 5453.
-    assert [t for t, _ in log] == [5452 + 2 * prop, 2726 + prop + 5453 + prop]
+    assert [t for t, *_ in log] == [5452 + 2 * prop, 2726 + prop + 5453 + prop]
     assert _peaks(snapshots) == [2]
     assert (log, snapshots) == _drive(prop, _tie_feed, hop=False)
 
@@ -215,7 +217,7 @@ def test_lone_last_cell_after_a_truncated_frame_discards_two():
     ends = (landed - 1, landed, 10**9)
     log, snapshots = _drive(prop, feed, ends=ends)
     assert [discards for _, [(_, _, discards, _)] in snapshots] == [0, 2, 2]
-    assert [seg.seq for _, seg in log] == [3]
+    assert [seq for _, _, seq in log] == [3]
     assert (log, snapshots) == _drive(prop, feed, hop=False, ends=ends)
 
 
@@ -240,7 +242,7 @@ def test_hop_keeps_only_cells_in_its_port():
     prop = 100_000
     cells = [(0, c) for pid in range(400) for c in _frame(0, pid, 5)]
     eng = EventQueue()
-    hop = SerializerHop(eng, "hop", None, TAIL, None, RATE, prop, lambda seg: None, 10**9)
+    hop = SerializerHop(eng, "hop", None, TAIL, None, RATE, prop, lambda frame: None, 10**9)
     upstream = OutputPort(eng, "up", None, TAIL, None, None, RATE, [hop.on_cell])
     _feed_cells(cells)(eng, upstream)
     eng.run_until(10**9)

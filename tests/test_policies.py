@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ubrsim.aal5 import Frame, Segment
+from ubrsim.aal5 import Frame
 from ubrsim.engine import EventQueue, InvariantError
 from ubrsim.switches import DropReason, OutputPort, Policy
 
@@ -18,7 +18,6 @@ BUFFER_FULL = DropReason.BUFFER_FULL
 EPD_THRESHOLD = DropReason.EPD_THRESHOLD
 LOAD_RATIO = DropReason.LOAD_RATIO
 CONTINUED = DropReason.CONTINUED_PACKET_DISCARD
-_SEG = Segment(0, 0, 512)
 
 
 def _port(policy, k, r=None, z=None):
@@ -30,7 +29,7 @@ def _verdict(port, x, y=0, na=1, first=True):
     """Set X = x, Y_0 = y and N_a = na, then offer the port one cell on VC 0:
     the first cell of a fresh 12-cell frame, or one from its middle."""
     port.x, port.y[0], port.na = x, y, na
-    frame = Frame(_SEG, 12)
+    frame = Frame(0, 0, 512)
     frame.arrived = 0 if first else 1
     return port.on_cell_arrival(frame)
 
@@ -224,7 +223,9 @@ def _mk_port(policy, capacity, n_vcs=3, r=None, z=None):
 def _packet_cells(vc, n=12):
     """The n cells of one frame on VC vc: n references to one Frame, which
     the port numbers 0..n-1 as they arrive."""
-    return [Frame(Segment(vc, 0, 512), n)] * n
+    frame = Frame(vc, 0, 512)
+    frame.last = n - 1
+    return [frame] * n
 
 
 def test_accepted_cells_depart_in_fifo_order():

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubrsim.aal5 import Frame, Segment
+from ubrsim.aal5 import Frame
 from ubrsim.engine import CELL_DEPARTURE, EventQueue
 from ubrsim.switches import DropReason, OutputPort, Policy
 
@@ -67,7 +67,8 @@ def test_port_invariants_under_random_frame_trains(run):
         assert port.x <= k
         frame = current[vc]
         if frame is None or frame.arrived > frame.last:
-            frame = current[vc] = Frame(Segment(vc, 0, 0), size)
+            frame = current[vc] = Frame(vc, 0, 0)
+            frame.last = size - 1
         x, idx = port.x, frame.arrived
         decision = port.on_cell_arrival(frame)
         # A discard mark covers the rest of its own frame only: never the

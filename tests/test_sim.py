@@ -192,6 +192,39 @@ def test_hops_schedule_no_delivery_past_the_horizon():
     assert any(h.late for h in sim.b_dst_hops + sim.a_src_hops)
 
 
+def test_each_host_receives_only_its_own_senders_frames_once():
+    # A segment is one mutable Frame from sender to sink, so pin that no
+    # layer swaps, shares or repeats frames across hosts, under loss.
+    scn = build_scenario(config="lan", sources=15, buffer=1000, policy="tail_drop",
+                         duration_ns=2 * TENTH_SECOND)
+    sim = Simulation(scn)
+    sent = [{} for _ in range(scn.n_sources)]  # id -> frame, kept alive
+    delivered = [[] for _ in range(scn.n_sources)]
+
+    def sending(i, try_send):
+        def wrapped(now):
+            out = try_send(now)
+            sent[i].update((id(f), f) for f in out)
+            return out
+        return wrapped
+
+    def receiving(i, sink):
+        def wrapped(frame):
+            delivered[i].append(frame)
+            sink(frame)
+        return wrapped
+
+    for i, (sender, hop) in enumerate(zip(sim.senders, sim.b_dst_hops)):
+        sender.try_send = sending(i, sender.try_send)
+        hop.sink = receiving(i, hop.sink)
+    result = sim.run()
+    assert result.drops_total > 0 and result.retransmitted_segments > 0
+    for i in range(scn.n_sources):
+        assert delivered[i]
+        assert all(sent[i].get(id(f)) is f for f in delivered[i])
+        assert len({id(f) for f in delivered[i]}) == len(delivered[i])
+
+
 def test_port_accounting_is_checked_on_every_run():
     sim = Simulation(_tiny(buffer=None))
 

@@ -441,6 +441,31 @@ def test_sweep_reports_a_rejected_point_apart_from_a_failed_run(tmp_path, monkey
     ]
 
 
+def _no_run_may_start(monkeypatch):
+    def run(*_args, **_kw):
+        raise AssertionError("a run started before the output was opened")
+
+    for name in ("run_sweep", "run_scenario"):
+        monkeypatch.setattr(f"ubrsim.cli.{name}", run)
+    monkeypatch.setattr(Simulation, "run", run)
+
+
+def test_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys):
+    _no_run_may_start(monkeypatch)
+    sweep = tmp_path / "one.sweep"
+    sweep.write_text("[sweep]\nsources = 2\nduration_s = 0.02\n")
+    missing = str(tmp_path / "missing" / "x.csv")
+    assert main(["sweep", str(sweep), "-o", missing]) == 1
+    assert f"cannot write results to {missing!r}" in capsys.readouterr().err
+    assert main(["table1", "--config", "lan", "-o", missing]) == 1
+    assert main(["run", _write_tiny_scenario(tmp_path), "-o", missing]) == 1
+    assert main(["trace", _write_tiny_scenario(tmp_path), "-o", missing]) == 1
+    assert f"cannot write results to {missing + '.conn0.csv'!r}" in capsys.readouterr().err
+    # Input is still read first: a bad scenario names itself, not the output.
+    assert main(["run", str(tmp_path / "none.scn"), "-o", missing]) == 1
+    assert "none.scn" in capsys.readouterr().err
+
+
 def test_cli_trace_emits_time_cwnd_lines(tmp_path):
     path = tmp_path / "trace.scn"
     path.write_text("config = lan\nsources = 2\nduration_s = 0.02\nbuffer = infinite\n")

@@ -6,7 +6,9 @@ BASE_SRC and CHANGE_SRC are directories holding the ubrsim package (a
 checkout's src/). The script draws N short scenarios from seed S: LAN and
 WAN, 1 to 15 sources, every drop policy, buffers from one cell to 3,000,
 link delays from 0 to 5 ms with extra weight on the tie-sensitive values
-around one cell time (2725 to 2728 ns). Each tree runs all of them in its
+around one cell time (2725 to 2728 ns), and an MSS of 512 bytes (12
+cells, the paper's), 40 (2 cells with no padding), 1,460 (32 cells) or
+9,180 (193 cells). Each tree runs all of them in its
 own subprocess. A run's outcome is the sha256 of its RunResult in
 canonical JSON (every field, keys sorted; the form of tests/test_golden.py)
 or, for a combination build_scenario rejects or a run that raises, the
@@ -68,7 +70,7 @@ def draw_scenarios(runs: int, seed: int) -> list[dict]:
             "sources": rng.randint(1, 15),
             "policy": policy,
             "link_delay_ns": rng.choice(DELAYS_NS + (rng.randint(0, 5 * MS),)),
-            "mss": rng.choice((512, 512, 512, 9180)),
+            "mss": rng.choice((512, 512, 512, 40, 1460, 9180)),
             "tick_ns": rng.choice((MS, 10 * MS)),
             "duration_ns": rng.randint(5, 40) * MS,
         }
