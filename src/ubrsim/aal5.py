@@ -29,9 +29,10 @@ def cells_for_segment(payload_len: int) -> int:
 
 class Frame:
     """One TCP segment as one AAL5 frame: its VC (the connection), seq,
-    payload_len (0 for a pure ack) and ack_no, the index of its last cell,
-    how many of its cells have reached the switch port, and whether that
-    port has doomed it. Data and acks are told apart by their path.
+    ack_no and the index of its last cell, how many of its cells have
+    reached the switch port, and whether that port has doomed it. The
+    payload length (0 for a pure ack, else the MSS the receiver holds) only
+    sizes the cell train. Data and acks are told apart by their path.
 
     A run moves millions of cells, so a cell is not an object of its own:
     it is a reference to its frame, and its index in the train is implied
@@ -43,12 +44,11 @@ class Frame:
     of a segment, a retransmission included, is a frame of its own.
     """
 
-    __slots__ = ("vc", "seq", "payload_len", "ack_no", "last", "arrived", "doomed")
+    __slots__ = ("vc", "seq", "ack_no", "last", "arrived", "doomed")
 
     def __init__(self, vc: int, seq: int, payload_len: int, ack_no: int = 0) -> None:
         self.vc = vc
         self.seq = seq
-        self.payload_len = payload_len
         self.ack_no = ack_no
         self.last = cells_for_segment(payload_len) - 1
         self.arrived = 0
@@ -95,12 +95,12 @@ class Reassembler:
 
 
 @cache
-def cell_time_fraction(rate_bps: int) -> Fraction:
-    """Exact cell transmission time in nanoseconds for a link rate.
+def cell_time(rate_bps: int) -> tuple[int, int]:
+    """Exact cell transmission time in ns for a link rate, as (num, den).
 
-    Computed once per rate and shared: a run wires four CellClocks per
-    source, and building the Fraction dominated their construction."""
-    return Fraction(CELL_WIRE_BYTES * 8 * NS_PER_SEC, rate_bps)
+    Computed once per rate and shared: a run wires 4N + 2 CellClocks, and
+    reducing the ratio dominated their construction."""
+    return Fraction(CELL_WIRE_BYTES * 8 * NS_PER_SEC, rate_bps).as_integer_ratio()
 
 
 class CellClock:
@@ -119,10 +119,8 @@ class CellClock:
     __slots__ = ("num", "den", "half", "base", "count")
 
     def __init__(self, rate_bps: int) -> None:
-        f = cell_time_fraction(rate_bps)
-        self.num = f.numerator
-        self.den = f.denominator
-        self.half = f.denominator // 2
+        self.num, self.den = cell_time(rate_bps)
+        self.half = self.den // 2
         self.base = 0
         self.count = 0
 

@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_p.set_defaults(cmd=_cmd_trace)
     trace_p.add_argument("scenario")
     trace_p.add_argument("-o", "--output", default=None,
-                         help="file prefix (one file per connection); default stdout")
+                         help="file prefix (one file per connection); default or - stdout")
     return parser
 
 
@@ -127,8 +127,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_trace(args) -> int:
     sim = Simulation(parse_scenario_file(args.scenario), collect_cwnd=True)
+    prefix = None if args.output == "-" else args.output
     with contextlib.ExitStack() as stack:
-        outs = [stack.enter_context(open_output(args.output and f"{args.output}.conn{conn}.csv"))
+        outs = [stack.enter_context(open_output(prefix and f"{prefix}.conn{conn}.csv"))
                 for conn in range(sim.scenario.n_sources)]
         sim.run()
         for conn, (out, trace) in enumerate(zip(outs, sim.cwnd_traces)):

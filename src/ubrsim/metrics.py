@@ -86,10 +86,6 @@ class RunResult:
             fairness_degenerate=not any(delivered),
         )
 
-    @property
-    def drops_total(self) -> int:
-        return sum(self.drops_by_reason.values())
-
     def cells_conserved(self) -> bool:
         """Cells in = cells reassembled + cells dropped + cells still resident."""
         return self.cells_injected == (

@@ -156,8 +156,13 @@ def build_scenario(
         )
     if duration_ns < 1:
         raise ScenarioError("duration_ns", f"must be positive, got {duration_ns}")
-    if rto_initial_ticks < 1 or rto_max_ticks < rto_initial_ticks:
-        raise ScenarioError("rto_initial_ticks", "need 1 <= initial rto <= max rto")
+    if rto_initial_ticks < 1:
+        raise ScenarioError("rto_initial_ticks", f"must be at least 1, got {rto_initial_ticks}")
+    if rto_max_ticks < rto_initial_ticks:
+        raise ScenarioError(
+            "rto_max_ticks",
+            f"must be at least rto_initial_ticks ({rto_initial_ticks}), got {rto_max_ticks}",
+        )
     if buffer is not None and buffer < 1:
         raise ScenarioError("buffer", f"finite buffer must hold at least one cell, got {buffer}")
     if reverse_buffer is _SAME:

@@ -80,10 +80,10 @@ class Simulation:
         self.data_links, self.a_fwd_port, self.b_dst_hops = path(
             "A.fwd", "B.dst", scenario.buffer_cells, scenario.r_cells, self._on_data)
         # Acks: destination i -> B.rev -> reverse link -> A.src<i> -> source i.
-        self.ack_links, self.b_rev_port, self.a_src_hops = path(
+        self.ack_links, b_rev, self.a_src_hops = path(
             "B.rev", "A.src", scenario.reverse_buffer_cells, scenario.reverse_r_cells,
             self._on_ack)
-        self.ports = [self.a_fwd_port, self.b_rev_port]
+        self.ports = [self.a_fwd_port, b_rev]
 
         self.cwnd_traces: list[list[tuple[int, int]]] | None = (
             [[] for _ in range(n)] if collect_cwnd else None
@@ -104,7 +104,7 @@ class Simulation:
     def _on_data(self, frame: Frame) -> None:
         """A whole data frame reaches its destination host: ack it."""
         conn = frame.vc
-        ack_no = self.receivers[conn].on_segment(frame.seq, frame.payload_len)
+        ack_no = self.receivers[conn].on_segment(frame.seq)
         self.emit_segments((Frame(conn, 0, 0, ack_no),), self.ack_links[conn])
 
     def _on_ack(self, frame: Frame) -> None:
@@ -162,7 +162,8 @@ class Simulation:
         # Every frame a hop schedules fires within the run, so a CELL_ARRIVAL
         # still pending at the end is always a cell on a link into a port.
         on_links = self.engine.pending(CELL_ARRIVAL)
-        residual = sum(p.x for p in self.ports) + on_links + sum(h.late for h in hops)
+        late = sum(h.late for h in hops)
+        residual = sum(p.x for p in self.ports) + on_links + late
         result = RunResult.from_counters(
             per_conn_delivered_bytes=delivered_bytes,
             duration_s=scn.duration_s,
@@ -177,7 +178,7 @@ class Simulation:
             retransmitted_segments=sum(s.retransmits for s in self.senders),
             timeouts=sum(s.timeouts for s in self.senders),
             cells_injected=self.cells_injected,
-            cells_delivered=sum(h.cells - h.late for h in hops),
+            cells_delivered=sum(p.cells_out for p in self.ports) - late,
             cells_dropped=dropped,
             cells_residual=residual,
         )

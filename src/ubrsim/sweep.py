@@ -122,7 +122,7 @@ def row_for(scenario: Scenario, result: RunResult) -> ResultRow:
         efficiency=result.efficiency,
         fairness=result.fairness,
         max_queue_cells=result.max_queue_cells,
-        drops=result.drops_total,
+        drops=result.cells_dropped,
         reassembly_discards=result.reassembly_discards,
         retransmits=result.retransmitted_segments,
     )
@@ -241,13 +241,9 @@ def open_output(destination):
         raise OSError(f"cannot write results to {destination!r}: {exc}") from exc
 
 
-def emit_results(rows, fmt: str = "csv", destination=None) -> None:
-    """Write rows as CSV or JSON to a path, file object, or stdout."""
+def emit_results(rows, fmt: str = "csv", out=None) -> None:
+    """Write rows as CSV or JSON to an open text stream, or to stdout (None);
+    open_output turns a destination into one."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    text = results_csv(rows) if fmt == "csv" else results_json(rows)
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    with open_output(destination) as fh:
-        (fh or sys.stdout).write(text)
+    (out or sys.stdout).write(results_csv(rows) if fmt == "csv" else results_json(rows))

@@ -69,8 +69,10 @@ class OutputPort:
     Next-hop contract: next_hop holds one callable per VC, so its length is
     the port's VC count. When a cell finishes transmission, the port calls
     next_hop[vc](frame, idx) at that instant, before it starts serving the
-    next cell. The port itself has no propagation delay; the next hop owns
-    the link that leaves the port and schedules whatever the cell does next.
+    next cell, and counts the call in cells_out, from which Simulation
+    takes the cells a run delivers. The port itself has no propagation
+    delay; the next hop owns the link that leaves the port and schedules
+    whatever the cell does next.
     """
 
     def __init__(
@@ -102,7 +104,7 @@ class OutputPort:
         self.max_x = 0
         self.drops_by_reason = [0] * len(DropReason)
         self.drops_by_vc = [0] * n_vcs
-        self.cells_out = 0
+        self.cells_out = 0  # cells handed to next_hop
 
     def on_cell_arrival(self, frame: Frame) -> DropReason:
         idx = frame.arrived
@@ -233,8 +235,9 @@ class SerializerHop:
     decrease, so once a cell reaches the host after end, every later cell
     does too: such a cell is counted in late and neither reassembled nor
     scheduled, and every frame the hop schedules fires within the run.
-    So cells - late cells reach the host by end, and reasm.discards counts
-    the discards those cells made.
+    The hop keeps no count of the cells handed to it: its upstream port's
+    cells_out less its hops' late cells is the count reaching the hosts by
+    end, and reasm.discards counts the discards those cells made.
 
     One deque, done, holds the completion times of the cells in the port,
     so its length is the occupancy x an arrival finds. Each arrival at t
@@ -252,7 +255,7 @@ class SerializerHop:
 
     __slots__ = (
         "engine", "name", "clock", "prop_ns", "sink", "end", "limit", "edge", "done", "reasm",
-        "cells", "late", "peak",
+        "late", "peak",
     )
 
     def __init__(
@@ -282,8 +285,7 @@ class SerializerHop:
         self.edge = 0 if prop_ns * clock.den >= clock.num else 1
         self.done: deque = deque()  # completion times of the cells in the port
         self.reasm = Reassembler()
-        self.cells = 0  # cells handed to the hop
-        self.late = 0  # of those, cells reaching the host after end
+        self.late = 0  # cells reaching the host after end
         self.peak = 0
 
     def on_cell(self, frame: Frame, idx: int) -> None:
@@ -306,7 +308,6 @@ class SerializerHop:
         completion = self.clock.serve(None if x else t)
         done.append(completion)
         landed = completion + prop
-        self.cells += 1
         if landed > self.end:
             self.late += 1
             return

@@ -176,7 +176,8 @@ class TcpSender:
 
 
 class TcpReceiver:
-    """Cumulative-ack receiver that caches out-of-order full-MSS segments."""
+    """Cumulative-ack receiver that caches out-of-order segments. Each is a
+    full MSS, all TcpSender sends, so it is known by its seq alone."""
 
     __slots__ = ("mss", "rcv_nxt", "cache")
 
@@ -185,10 +186,10 @@ class TcpReceiver:
         self.rcv_nxt = 0
         self.cache: set[int] = set()
 
-    def on_segment(self, seq: int, length: int) -> int:
+    def on_segment(self, seq: int) -> int:
         """Absorb one intact segment; returns the ack number to emit now."""
         if seq == self.rcv_nxt:
-            self.rcv_nxt = seq + length
+            self.rcv_nxt = seq + self.mss
             cache = self.cache
             while self.rcv_nxt in cache:
                 cache.remove(self.rcv_nxt)

@@ -14,7 +14,7 @@ from ubrsim.aal5 import (
     CellLink,
     Frame,
     Reassembler,
-    cell_time_fraction,
+    cell_time,
     cells_for_segment,
     segment_to_cells,
 )
@@ -61,7 +61,7 @@ def test_segment_to_cells_shape():
     assert len(cells) == 12
     assert [i == frame.last for i in range(12)] == [False] * 11 + [True]
     assert all(c is frame for c in cells)
-    assert (frame.vc, frame.seq, frame.payload_len, frame.ack_no) == (3, 4096, 512, 0)
+    assert (frame.vc, frame.seq, frame.ack_no) == (3, 4096, 0)
     assert frame.arrived == 0 and not frame.doomed
 
 
@@ -133,9 +133,8 @@ def test_wire_overhead_ratio_exact():
 
 
 def test_cell_time_rational():
-    ct = cell_time_fraction(RATE)
-    assert ct == Fraction(53 * 8 * 10**9, RATE)
-    assert ct == Fraction(662500, 243)
+    assert cell_time(RATE) == (662500, 243)
+    assert Fraction(*cell_time(RATE)) == Fraction(53 * 8 * 10**9, RATE)
 
 
 def test_idle_link_arrival_time():
@@ -154,7 +153,7 @@ def test_idle_link_arrival_time():
 def test_completion_times_accumulate_without_drift():
     clock = CellClock(RATE)
     times = [clock.serve(0)] + [clock.serve() for _ in range(99_999)]
-    ct = cell_time_fraction(RATE)
+    ct = Fraction(*cell_time(RATE))
     for n in (1, 2, 3, 999, 54_321, 100_000):
         exact = n * ct
         rounded = (exact.numerator + exact.denominator // 2) // exact.denominator

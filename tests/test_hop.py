@@ -42,10 +42,9 @@ class _QueuedLeg:
         self.sink = sink
         self.port = OutputPort(eng, "leg", None, TAIL, None, None, RATE, [self._depart] * n_vcs)
         self.reasm = Reassembler()
-        self.cells = self.delivered = 0
+        self.delivered = 0
 
     def on_cell(self, frame, idx):
-        self.cells += 1
         self.eng.schedule(self.eng.now + self.prop, CELL_ARRIVAL, self._arrive, (frame, idx))
 
     def _arrive(self, cell):
@@ -60,13 +59,20 @@ class _QueuedLeg:
         if frame is not None:
             self.sink(frame)
 
-    def counts(self):
-        return (self.port.max_x, self.delivered, self.reasm.discards,
-                self.cells - self.delivered)
+    def counts(self, cells):
+        return self.port.max_x, self.delivered, self.reasm.discards, cells - self.delivered
 
 
-def _hop_counts(hop):
-    return hop.peak, hop.cells - hop.late, hop.reasm.discards, hop.late
+def _hop_counts(hop, cells):
+    return hop.peak, cells - hop.late, hop.reasm.discards, hop.late
+
+
+def _counted(on_cell, handed, v):
+    """on_cell, counting in handed[v] the cells handed to it."""
+    def count(frame, idx):
+        handed[v] += 1
+        on_cell(frame, idx)
+    return count
 
 
 def _drive(prop, feed, n_vcs=1, hop=True, capacity=None, ends=(10**9,)):
@@ -96,16 +102,17 @@ def _drive(prop, feed, n_vcs=1, hop=True, capacity=None, ends=(10**9,)):
                     for v in range(n_vcs)]
         else:
             legs = [_QueuedLeg(eng, prop, sink, n_vcs) for _ in range(n_vcs)]
+        handed = [0] * n_vcs  # cells the upstream port handed to each leg
         upstream = OutputPort(eng, "up", None, TAIL, None, None, RATE,
-                              [leg.on_cell for leg in legs])
+                              [_counted(leg.on_cell, handed, v) for v, leg in enumerate(legs)])
         feed(eng, upstream)
         for end in horizons:
             eng.run_until(end)
             if hop:
-                counts = [_hop_counts(h) for h in legs]
+                counts = [_hop_counts(h, c) for h, c in zip(legs, handed)]
                 assert eng.pending(CELL_ARRIVAL) == 0
             else:
-                counts = [leg.counts() for leg in legs]
+                counts = [leg.counts(c) for leg, c in zip(legs, handed)]
             snapshots.append((len(log), counts))
     return log, snapshots
 
@@ -246,5 +253,5 @@ def test_hop_keeps_only_cells_in_its_port():
     upstream = OutputPort(eng, "up", None, TAIL, None, None, RATE, [hop.on_cell])
     _feed_cells(cells)(eng, upstream)
     eng.run_until(10**9)
-    assert hop.cells == 2000 and hop.late == 0
+    assert upstream.cells_out == 2000 and hop.late == 0
     assert len(hop.done) <= 2

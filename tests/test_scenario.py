@@ -233,6 +233,17 @@ def test_defaulted_initial_ssthresh_error_names_rcvwnd():
     assert err.value.field == "initial_ssthresh"
 
 
+def test_rto_errors_name_the_key_set():
+    with pytest.raises(ScenarioError) as err:
+        build_scenario(rto_initial_ticks=0)
+    assert err.value.field == "rto_initial_ticks"
+    assert str(err.value) == "rto_initial_ticks: must be at least 1, got 0"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text("rto_max_ticks = 2\n")
+    assert err.value.field == "rto_max_ticks"
+    assert str(err.value) == "rto_max_ticks: must be at least rto_initial_ticks (3), got 2"
+
+
 def test_comment_before_first_header_parses():
     s = parse_scenario_text("# a note\n; another\n\n[scenario]\nsources = 3\nbuffer = 1000\n"
                             "[policy]\nkind = epd\n")

@@ -42,7 +42,7 @@ def _run_checked(scenario):
 
 def test_lossfree_run_delivers_in_order_with_no_drops():
     result = _run_checked(_tiny(buffer=None))
-    assert result.drops_total == 0
+    assert result.cells_dropped == 0
     assert result.reassembly_discards == 0
     assert result.retransmitted_segments == 0
     assert result.timeouts == 0
@@ -65,7 +65,7 @@ def test_identical_runs_are_identical():
 
 def test_small_buffer_run_drops_and_recovers():
     result = _run_checked(_tiny(buffer=60, duration_ns=3 * TENTH_SECOND))
-    assert result.drops_total > 0
+    assert result.cells_dropped > 0
     assert result.reassembly_discards > 0
     assert result.retransmitted_segments > 0
     assert result.timeouts > 0
@@ -78,7 +78,7 @@ def test_epd_run_has_no_reassembly_waste_from_threshold_drops():
     # with generous headroom below capacity, EPD only ever kills whole packets
     scn = _tiny(buffer=300, policy="epd", r_cells=100, duration_ns=3 * TENTH_SECOND)
     result = _run_checked(scn)
-    assert result.drops_total > 0
+    assert result.cells_dropped > 0
     assert result.drops_by_reason.get("BUFFER_FULL", 0) == 0
     assert result.reassembly_discards == 0
 
@@ -166,7 +166,7 @@ def test_conservation_is_checked_on_every_run():
     sim = Simulation(_tiny(buffer=None))
 
     def lose_a_delivery(_):
-        sim.b_dst_hops[0].cells -= 1
+        sim.a_fwd_port.cells_out -= 1
 
     sim.engine.schedule(TENTH_SECOND // 2, APP_SEND, lose_a_delivery)
     with pytest.raises(InvariantError, match="conservation"):
@@ -218,7 +218,7 @@ def test_each_host_receives_only_its_own_senders_frames_once():
         sender.try_send = sending(i, sender.try_send)
         hop.sink = receiving(i, hop.sink)
     result = sim.run()
-    assert result.drops_total > 0 and result.retransmitted_segments > 0
+    assert result.cells_dropped > 0 and result.retransmitted_segments > 0
     for i in range(scn.n_sources):
         assert delivered[i]
         assert all(sent[i].get(id(f)) is f for f in delivered[i])
@@ -253,7 +253,7 @@ def test_every_event_has_one_of_four_kinds_and_dispatches_add_up():
     eng.schedule = counting_schedule
     eng.run_until = lambda end: returned.append(run_until(end)) or returned[-1]
     result = sim.run()
-    assert result.drops_total > 0 and result.reassembly_discards > 0
+    assert result.cells_dropped > 0 and result.reassembly_discards > 0
     assert set(scheduled) <= set(kinds)
     assert sum(eng.pending(k) for k in kinds) == eng.pending() > 0
     assert returned == [sum(scheduled[k] - eng.pending(k) for k in kinds)]

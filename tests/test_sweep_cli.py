@@ -227,12 +227,11 @@ def test_error_rows_keep_configuration_fields():
     assert data[0]["error"] == "Boom: synthetic"
 
 
-def test_emit_results_to_path(tmp_path):
-    target = tmp_path / "out.csv"
-    emit_results([], "csv", str(target))
-    assert target.read_text() == CSV_HEADER + "\n"
-    with pytest.raises(OSError):
-        emit_results([], "csv", str(tmp_path / "no" / "such" / "dir.csv"))
+def test_run_writes_results_to_a_path(tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["run", _write_tiny_scenario(tmp_path), "-o", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    assert header == CSV_HEADER and row.startswith("lan,2,80,tail_drop,")
 
 
 def test_emit_results_rejects_unknown_format():
@@ -585,6 +584,16 @@ def test_table_commands_run_their_sweeps(monkeypatch, capsys):
     assert main(["table1"]) == 0
     assert ran.pop() == _table("table1")
     assert "sweep: cross product of 2 + 2 points" in capsys.readouterr().err
+
+
+def test_cli_trace_dash_output_is_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "trace.scn"
+    path.write_text("config = lan\nsources = 2\nduration_s = 0.02\n")
+    assert main(["trace", str(path), "-o", "-"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# conn 0\n") and "# conn 1\n" in out
+    assert not list(tmp_path.glob("-.conn*"))
 
 
 def test_cli_trace_writes_one_file_per_connection(tmp_path):

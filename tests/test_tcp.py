@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from ubrsim.aal5 import cells_for_segment
 from ubrsim.engine import InvariantError
 from ubrsim.tcp import RttEstimator, TcpReceiver, TcpSender
 
@@ -70,7 +71,7 @@ def test_window_arithmetic_two_segments():
     out = _drain(s)
     assert [seg.seq for seg in out] == [0, 512]
     assert s.snd_nxt == 1024
-    assert all(seg.payload_len == MSS for seg in out)
+    assert all(seg.last == cells_for_segment(MSS) - 1 for seg in out)
 
 
 def test_full_window_emits_nothing():
@@ -274,35 +275,35 @@ def test_sample_taken_for_fresh_segment():
 
 def test_in_order_delivery_advances_and_acks():
     r = TcpReceiver(MSS)
-    assert r.on_segment(0, 512) == 512
-    assert r.on_segment(512, 512) == 1024
+    assert r.on_segment(0) == 512
+    assert r.on_segment(512) == 1024
     assert r.rcv_nxt == 1024
 
 
 def test_out_of_order_cached_with_duplicate_ack():
     r = TcpReceiver(MSS)
-    assert r.on_segment(512, 512) == 0  # duplicate ack value
+    assert r.on_segment(512) == 0  # duplicate ack value
     assert 512 in r.cache
-    assert r.on_segment(0, 512) == 1024  # hole fill absorbs the cache
+    assert r.on_segment(0) == 1024  # hole fill absorbs the cache
     assert not r.cache
 
 
 def test_cache_absorption_spans_runs():
     r = TcpReceiver(MSS)
     for seq in (1024, 512, 2048):
-        r.on_segment(seq, 512)
+        r.on_segment(seq)
     assert r.rcv_nxt == 0
-    assert r.on_segment(0, 512) == 1536
-    assert r.on_segment(1536, 512) == 2560
+    assert r.on_segment(0) == 1536
+    assert r.on_segment(1536) == 2560
 
 
 def test_duplicates_discarded():
     r = TcpReceiver(MSS)
-    r.on_segment(0, 512)
-    assert r.on_segment(0, 512) == 512  # already delivered
+    r.on_segment(0)
+    assert r.on_segment(0) == 512  # already delivered
     assert r.rcv_nxt == 512 and not r.cache
-    assert r.on_segment(1024, 512) == 512
-    assert r.on_segment(1024, 512) == 512  # already cached
+    assert r.on_segment(1024) == 512
+    assert r.on_segment(1024) == 512  # already cached
     assert r.rcv_nxt == 512 and r.cache == {1024}
 
 
@@ -325,7 +326,7 @@ def test_window_invariants_under_random_traffic():
             for _ in range(take):
                 seq = in_flight.pop(0)
                 if rng.random() < 0.8:
-                    receiver.on_segment(seq, MSS)
+                    receiver.on_segment(seq)
             s.on_ack(receiver.rcv_nxt, tick)
         else:
             tick += 1

@@ -8,8 +8,10 @@ WAN, 1 to 15 sources, every drop policy, buffers from one cell to 3,000,
 link delays from 0 to 5 ms with extra weight on the tie-sensitive values
 around one cell time (2725 to 2728 ns), and an MSS of 512 bytes (12
 cells, the paper's), 40 (2 cells with no padding), 1,460 (32 cells) or
-9,180 (193 cells). Each tree runs all of them in its
-own subprocess. A run's outcome is the sha256 of its RunResult in
+9,180 (193 cells). About half the runs also set the receiver window away
+from its default: below two segments (which build_scenario rejects), not
+a multiple of the MSS, 65,535 or 600,000 bytes; and some set
+initial_ssthresh. Each tree runs all of them in its own subprocess. A run's outcome is the sha256 of its RunResult in
 canonical JSON (every field, keys sorted; the form of tests/test_golden.py)
 or, for a combination build_scenario rejects or a run that raises, the
 error's type and message. Outcomes that differ are printed with their
@@ -70,7 +72,7 @@ def draw_scenarios(runs: int, seed: int) -> list[dict]:
             "sources": rng.randint(1, 15),
             "policy": policy,
             "link_delay_ns": rng.choice(DELAYS_NS + (rng.randint(0, 5 * MS),)),
-            "mss": rng.choice((512, 512, 512, 40, 1460, 9180)),
+            "mss": (mss := rng.choice((512, 512, 512, 40, 1460, 9180))),
             "tick_ns": rng.choice((MS, 10 * MS)),
             "duration_ns": rng.randint(5, 40) * MS,
         }
@@ -82,6 +84,15 @@ def draw_scenarios(runs: int, seed: int) -> list[dict]:
             point["r_fraction"] = rng.choice(("1/2", "4/5", "9/10", "1"))
         if policy in ("sd", "fba") and rng.random() < 0.4:
             point["z"] = rng.choice(("1/2", "4/5", "1", "3/2", "0"))
+        if rng.random() < 0.5:
+            point["rcvwnd"] = rng.choice((
+                rng.randint(1, 2 * mss - 1),  # below two segments: rejected
+                rng.randint(2, 64) * mss + rng.randint(1, mss - 1),  # not a multiple of mss
+                65535,
+                600_000,
+            ))
+        if rng.random() < 0.2:
+            point["initial_ssthresh"] = rng.randint(2 * mss, 64 * mss)
         points.append(point)
     return points
 
