@@ -18,7 +18,6 @@ import io
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .metrics import RunResult
@@ -172,17 +171,24 @@ def run_sweep(
     input order, regardless of parallel completion order, and points that
     are the same Scenario share one row. A ResultRow among the points (an
     invalid combination's error row, see SweepSpec.scenarios) is passed
-    through. In parallel, the longest runs are submitted first."""
+    through. The process pool is imported and started only when at least
+    two distinct runs go to at least two workers; its workers are never
+    more than the distinct runs, and the longest runs are submitted first.
+    report, if given, gets the run count and the worker count used (1 for a
+    serial sweep) and one line per error row."""
     points = list(points)
     distinct = list(dict.fromkeys(p for p in points if isinstance(p, Scenario)))
+    workers = max(1, min(parallelism, len(distinct)))
     if report is not None:
-        print(f"sweep: {len(distinct)} runs, parallelism {parallelism}", file=report)
-    if parallelism <= 1 or len(distinct) <= 1:
+        print(f"sweep: {len(distinct)} runs, parallelism {workers}", file=report)
+    if workers == 1:
         ran = {scenario: _run_one(scenario) for scenario in distinct}
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool loads it
+
         distinct.sort(key=lambda scenario: scenario.duration_ns, reverse=True)
         # Under the fork start method a pool starts every worker up front.
-        with ProcessPoolExecutor(max_workers=min(parallelism, len(distinct))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             ran = dict(zip(distinct, pool.map(_run_one, distinct, chunksize=1)))
     rows = [ran[p] if isinstance(p, Scenario) else p for p in points]
     for point, row in zip(points, rows):

@@ -19,3 +19,20 @@ def test_readme_documents_every_file_key():
     keys = [key for table in (KEYS, _SWEEP_KEYS) for section in table.values() for key in section]
     missing = [key for key in keys if f"| `{key}` |" not in readme]
     assert not missing
+
+
+def test_import_loads_no_process_pool():
+    # Only a parallel sweep starts a pool, so only it imports one.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    code = ("import sys, ubrsim, ubrsim.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -140,7 +140,7 @@ def test_parallel_sweep_submits_longest_runs_first(monkeypatch):
             return map(fn, list(items))
 
     calls = _counting_runs(monkeypatch)
-    monkeypatch.setattr("ubrsim.sweep.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     points = [build_scenario(config="lan", sources=2, duration_ns=ms * 1_000_000)
               for ms in (20, 40, 20, 30)]
     rows = run_sweep(points, parallelism=2)
@@ -167,12 +167,16 @@ def test_parallel_sweep_starts_no_more_workers_than_distinct_runs(monkeypatch):
             return map(fn, list(items))
 
     _counting_runs(monkeypatch)
-    monkeypatch.setattr("ubrsim.sweep.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     points = [build_scenario(config="lan", sources=2, duration_ns=ms * 1_000_000)
               for ms in (20, 30, 20)]
-    run_sweep(points, parallelism=64)
+    report = io.StringIO()
+    run_sweep(points, parallelism=64, report=report)
     run_sweep(points, parallelism=2)
+    run_sweep(points[:1], parallelism=64, report=report)  # one run: serial, no pool
     assert workers == [2, 2]
+    assert report.getvalue().splitlines() == [
+        "sweep: 2 runs, parallelism 2", "sweep: 1 runs, parallelism 1"]
 
 
 def test_csv_header_and_formatting():
