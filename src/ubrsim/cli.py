@@ -120,7 +120,8 @@ def _cmd_sweep(args) -> int:
     print(f"sweep: cross product of {sizes} points", file=sys.stderr)
     with open_output(args.output) as out:
         rows = run_sweep([point for points in expanded for point in points],
-                         parallelism=args.parallel, report=sys.stderr)
+                         parallelism=args.parallel, report=sys.stderr,
+                         columns=specs[0].columns)  # a table's specs add no column
         emit_results(rows, args.format, out)
     return EXIT_OK
 

@@ -6,9 +6,9 @@ Acks ride the reverse path through the same switches. Everything else is a
 named scalar with a LAN or WAN default, overridable per scenario file.
 
 KEYS is the one vocabulary of run input: it maps each key of a scenario
-file, and each key a sweep file crosses, to its build_scenario parameter
-and value parser, and every Scenario is built and validated by
-build_scenario.
+file, which a sweep file also takes (kind spelled policy) and crosses in
+KEYS order, to its build_scenario parameter and value parser, and every
+Scenario is built and validated by build_scenario.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ def _scaled(unit: int):
 
 # The one file vocabulary: section -> key -> (build_scenario parameter,
 # value parser). Keys are read in this order, so the first bad value in
-# it is the one reported.
+# it is the one reported, and a sweep crosses them in it.
 KEYS = {
     "scenario": {
         "config": ("config", str.lower),

@@ -1,13 +1,12 @@
 """Factorial sweep execution and result serialization.
 
 A sweep is a list of axes, (build_scenario parameter, values) pairs, and
-one scenario per combination of their values. A sweep file's keys are read
-through the scenario key table (scenario.KEYS) and always cross in one
-order, outermost first: config, sources, buffer, policy, r_fraction, z,
-then duration_s, which takes one value. Runs are isolated (separate
-processes when parallel), a Scenario that several points share runs once,
-and rows always come back in cross-product order, so output is a pure
-function of the spec.
+one scenario per combination of their values. A sweep file takes every
+key of scenario.KEYS ([policy] kind spelled policy), crossed in KEYS order,
+outermost first. Runs are isolated (separate processes when parallel), a
+Scenario that several points share runs once, and rows come back in
+cross-product order, each varied axis without a column adding one, so
+output is a pure function of the spec.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 
 from .metrics import RunResult
 from .scenario import (
@@ -44,14 +44,25 @@ class ResultRow:
     reassembly_discards: int | None = None
     retransmits: int | None = None
     error: str | None = None
+    varied: tuple = ()  # (parameter, value) of each varied axis without a column
 
 
-_COLUMNS = tuple(f.name for f in fields(ResultRow))
+_COLUMNS = tuple(f.name for f in fields(ResultRow))[:-1]  # varied trails them
+_METRICS = _COLUMNS[6:]  # the six before these are the configuration columns
+_CONFIGURATION = ("config", "sources", "buffer", "policy", "r_fraction", "z")  # by parameter
+_BUFFERS = ("buffer_cells", "reverse_buffer")  # None reads "infinite"
+_FIELDS = {"reverse_buffer": "reverse_buffer_cells"}  # Scenario fields named apart
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     axes: tuple[tuple[str, tuple], ...] = ()  # (parameter, values), outermost first
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The varied axes' parameters without a configuration column, in order."""
+        return tuple(name for name, values in self.axes
+                     if len(values) > 1 and name not in _CONFIGURATION)
 
     def scenarios(self) -> list[Scenario | ResultRow]:
         """The cross product as run_sweep takes it: the Scenario of each valid
@@ -64,23 +75,13 @@ class SweepSpec:
             try:
                 out.append(build_scenario(**point))
             except ScenarioError as exc:
-                out.append(_error_row(exc, **point))
+                out.append(_error_row(exc, self.columns, **point))
         return out
 
 
-# The sweep keys in crossing order, outermost first, with their key-table
-# entries; a sweep's policy is a scenario file's [policy] kind.
-_SWEEP_KEYS = {
-    "sweep": {
-        "config": KEYS["scenario"]["config"],
-        "sources": KEYS["scenario"]["sources"],
-        "buffer": KEYS["scenario"]["buffer"],
-        "policy": KEYS["policy"]["kind"],
-        "r_fraction": KEYS["policy"]["r_fraction"],
-        "z": KEYS["policy"]["z"],
-        "duration_s": KEYS["scenario"]["duration_s"],
-    }
-}
+# Every key of KEYS in crossing order, outermost first; [policy] kind is policy.
+_SWEEP_KEYS = {"sweep": {"policy" if key == "kind" else key: entry
+                         for section in KEYS.values() for key, entry in section.items()}}
 
 
 def parse_sweep_text(text: str) -> SweepSpec:
@@ -91,8 +92,6 @@ def parse_sweep_text(text: str) -> SweepSpec:
         )
         if not values:
             raise ScenarioError(key, f"no values in {raw!r}")
-        if key == "duration_s" and len(values) > 1:
-            raise ScenarioError(key, "takes one value: rows do not record the duration")
         axes.append((param, values))
     return SweepSpec(tuple(axes))
 
@@ -102,8 +101,8 @@ def parse_sweep_file(path: str) -> SweepSpec:
         return parse_sweep_text(fh.read())
 
 
-def _configuration(scenario: Scenario) -> dict:
-    """The configuration columns of every row a Scenario gives."""
+def _configuration(scenario: Scenario, columns=()) -> dict:
+    """The configuration columns of a Scenario's rows, and its value of each of columns."""
     z = scenario.z
     return dict(
         config=scenario.config_class,
@@ -112,12 +111,13 @@ def _configuration(scenario: Scenario) -> dict:
         policy=scenario.policy.name.lower(),
         r_fraction=scenario.r_fraction,
         z=None if z is None else float(z),
+        varied=tuple((name, getattr(scenario, _FIELDS.get(name, name))) for name in columns),
     )
 
 
-def row_for(scenario: Scenario, result: RunResult) -> ResultRow:
+def row_for(scenario: Scenario, result: RunResult, columns=()) -> ResultRow:
     return ResultRow(
-        **_configuration(scenario),
+        **_configuration(scenario, columns),
         efficiency=result.efficiency,
         fairness=result.fairness,
         max_queue_cells=result.max_queue_cells,
@@ -130,11 +130,11 @@ def row_for(scenario: Scenario, result: RunResult) -> ResultRow:
 _DEFAULT = build_scenario()  # the Scenario of a point that sets nothing
 
 
-def _error_row(exc, config=_DEFAULT.config_class, sources=_DEFAULT.n_sources,
+def _error_row(exc, columns=(), config=_DEFAULT.config_class, sources=_DEFAULT.n_sources,
                buffer=_DEFAULT.buffer_cells, policy=_DEFAULT.policy,
-               r_fraction=None, z=None, **_) -> ResultRow:
-    """A row that keeps the configuration of a point that has no Scenario
-    and reports why. A parameter the point leaves out takes build_scenario's
+               r_fraction=None, z=None, **rest) -> ResultRow:
+    """A row that keeps the point of a combination that has no Scenario and
+    reports why. A parameter the point leaves out takes build_scenario's
     default; a policy alias is written as its canonical name, an unknown one
     as spelled. Z and R/K show where a result row of the policy would."""
     if isinstance(policy, str):
@@ -154,19 +154,18 @@ def _error_row(exc, config=_DEFAULT.config_class, sources=_DEFAULT.n_sources,
         r_fraction=None if r_fraction is None else float(r_fraction),
         z=None if z is None else float(z),
         error=f"{type(exc).__name__}: {exc}",
+        varied=tuple((name, rest[name]) for name in columns),
     )
 
 
-def _run_one(scenario: Scenario) -> ResultRow:
+def _run_one(scenario: Scenario, columns) -> ResultRow:
     try:
-        return row_for(scenario, run_scenario(scenario))
+        return row_for(scenario, run_scenario(scenario), columns)
     except Exception as exc:  # a failed run must not sink the sweep
-        return ResultRow(**_configuration(scenario), error=f"{type(exc).__name__}: {exc}")
+        return ResultRow(**_configuration(scenario, columns), error=f"{type(exc).__name__}: {exc}")
 
 
-def run_sweep(
-    points, parallelism: int = 1, report=None
-) -> list[ResultRow]:
+def run_sweep(points, parallelism: int = 1, report=None, columns=()) -> list[ResultRow]:
     """Run each distinct scenario once; rows come back one per point, in
     input order, regardless of parallel completion order, and points that
     are the same Scenario share one row. A ResultRow among the points (an
@@ -175,37 +174,37 @@ def run_sweep(
     two distinct runs go to at least two workers; its workers are never
     more than the distinct runs, and the longest runs are submitted first.
     report, if given, gets the run count and the worker count used (1 for a
-    serial sweep) and one line per error row."""
+    serial sweep) and one line per error row, naming its point; columns are
+    the sweep's SweepSpec.columns."""
     points = list(points)
     distinct = list(dict.fromkeys(p for p in points if isinstance(p, Scenario)))
     workers = max(1, min(parallelism, len(distinct)))
     if report is not None:
         print(f"sweep: {len(distinct)} runs, parallelism {workers}", file=report)
     if workers == 1:
-        ran = {scenario: _run_one(scenario) for scenario in distinct}
+        ran = {scenario: _run_one(scenario, columns) for scenario in distinct}
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool loads it
 
         distinct.sort(key=lambda scenario: scenario.duration_ns, reverse=True)
         # Under the fork start method a pool starts every worker up front.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            ran = dict(zip(distinct, pool.map(_run_one, distinct, chunksize=1)))
+            run = partial(_run_one, columns=columns)
+            ran = dict(zip(distinct, pool.map(run, distinct, chunksize=1)))
     rows = [ran[p] if isinstance(p, Scenario) else p for p in points]
     for point, row in zip(points, rows):
         if row.error is not None and report is not None:
             what = "run failed" if isinstance(point, Scenario) else "point rejected"
-            buffer = "infinite" if row.buffer_cells is None else row.buffer_cells
-            print(f"sweep: {what} ({row.config}/{row.n_sources}/"
-                  f"{buffer}/{row.policy}): {row.error}", file=report)
+            label = "/".join(_fmt_csv(v) for name, v in _row_items(row) if name not in _METRICS)
+            print(f"sweep: {what} ({label}): {row.error}", file=report)
     return rows
 
 
-def _column_values(row: ResultRow):
-    """The row's output columns in _COLUMNS order; each format renders
-    floats to 4 decimals and None as empty."""
-    for name in _COLUMNS:
-        value = getattr(row, name)
-        yield "infinite" if name == "buffer_cells" and value is None else value
+def _row_items(row: ResultRow):
+    """The row's output columns as (name, value): _COLUMNS, then the varied
+    ones; each format renders floats to 4 decimals and None as empty."""
+    for name, value in itertools.chain(((n, getattr(row, n)) for n in _COLUMNS), row.varied):
+        yield name, "infinite" if value is None and name in _BUFFERS else value
 
 
 def _fmt_csv(value) -> str:
@@ -219,16 +218,16 @@ def _fmt_csv(value) -> str:
 def _row_object(row: ResultRow) -> dict:
     return {
         name: round(value, 4) if isinstance(value, float) else value
-        for name, value in zip(_COLUMNS, _column_values(row))
+        for name, value in _row_items(row)
     }
 
 
 def results_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_COLUMNS)
+    writer.writerow(_COLUMNS + tuple(name for name, _ in rows[0].varied) if rows else _COLUMNS)
     for row in rows:
-        writer.writerow(map(_fmt_csv, _column_values(row)))
+        writer.writerow(_fmt_csv(value) for _, value in _row_items(row))
     return buf.getvalue()
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from collections import Counter
 
+from ubrsim.aal5 import cells_for_segment
 from ubrsim.engine import APP_SEND, CELL_ARRIVAL, CELL_DEPARTURE, TIMER_TICK, InvariantError
 from ubrsim.scenario import build_scenario
 from ubrsim.sim import Simulation, run_scenario
@@ -55,6 +56,22 @@ def test_lossfree_queue_bounded_by_window_sum():
     result = _run_checked(_tiny(buffer=None))
     window_cells = (65535 // 512) * 12 * 2
     assert result.max_queue_cells <= window_cells
+
+
+def test_zero_loss_buffer_is_the_infinite_runs_peak():
+    # The zero-loss claim at a short horizon, LAN, 5 sources: by 0.05 s the
+    # infinite-buffer peak P has reached its full-length 7,592 cells. P is
+    # within the sum of the receiver windows in cells, a tail-drop buffer of
+    # K = P changes nothing, and K = P - 1 drops exactly one cell.
+    point = dict(config="lan", sources=5, duration_ns=50_000_000)
+    scenario = build_scenario(**point)
+    infinite = run_scenario(scenario)
+    peak = infinite.max_queue_cells
+    window_cells = (scenario.n_sources * -(-scenario.rcvwnd // scenario.mss)
+                    * cells_for_segment(scenario.mss))
+    assert peak == 7_592 <= window_cells == 7_680
+    assert run_scenario(build_scenario(buffer=peak, **point)) == infinite
+    assert run_scenario(build_scenario(buffer=peak - 1, **point)).cells_dropped == 1
 
 
 def test_identical_runs_are_identical():

@@ -122,6 +122,40 @@ def test_sweep_runs_each_distinct_scenario_once(monkeypatch):
         ("tail_drop", None)] * 4 + [("epd", 0.5)] * 2 + [("epd", 0.9)] * 2
 
 
+def test_rows_name_the_varied_keys_they_ran():
+    spec = parse_sweep_text("sources = 2\nmss = 512, 1460\nduration_s = 0.02, 0.04\n")
+    assert spec.columns == ("mss", "duration_ns")  # KEYS order
+    points = spec.scenarios()
+    rows = run_sweep(points, columns=spec.columns)
+    assert len(rows) == 4
+    header, *lines = results_csv(rows).splitlines()
+    assert header == CSV_HEADER + ",mss,duration_ns"
+    objects = json.loads(results_json(rows))
+    for point, line, obj in zip(points, lines, objects):
+        assert line.split(",")[-2:] == [str(point.mss), str(point.duration_ns)]
+        assert list(obj)[-2:] == ["mss", "duration_ns"]
+        assert (obj["duration_ns"], obj["mss"]) == (point.duration_ns, point.mss)
+    assert [(p.mss, p.duration_ns) for p in points] == [
+        (512, 20_000_000), (512, 40_000_000), (1460, 20_000_000), (1460, 40_000_000)]
+
+
+def test_points_of_one_scenario_share_a_row_showing_what_ran(monkeypatch):
+    calls = _counting_runs(monkeypatch)
+    # Tail drop has no threshold, so both points build one Scenario.
+    spec = parse_sweep_text("sources = 2\nbuffer = 80\nr_cells = 100, 200\nduration_s = 0.02\n")
+    points = spec.scenarios()
+    rows = run_sweep(points, columns=spec.columns)
+    assert len(calls) == 1 and rows[0] is rows[1]
+    assert rows[0].varied == (("r_cells", None),)
+    assert [line.split(",")[-1] for line in results_csv(rows).splitlines()] == ["r_cells", "", ""]
+    # An error row shows the value its point gave (R = 100 is not below K = 80).
+    spec = parse_sweep_text("sources = 2\nbuffer = 80\npolicy = epd\nr_cells = 100, 40\n"
+                            "duration_s = 0.02\n")
+    rows = run_sweep(spec.scenarios(), columns=spec.columns)
+    assert [(row.error is None, row.varied) for row in rows] == [
+        (False, (("r_cells", 100),)), (True, (("r_cells", 40),))]
+
+
 def test_parallel_sweep_submits_longest_runs_first(monkeypatch):
     submitted = []
 
@@ -325,7 +359,6 @@ def test_sweep_duration_override_parses():
     ("sources = x", "sources"),
     ("buffer = big", "buffer"),
     ("sources = ,", "sources"),
-    ("duration_s = 0.5, 1", "duration_s"),
 ])
 def test_bad_sweep_value_names_its_key(text, field):
     with pytest.raises(ScenarioError) as err:
@@ -435,13 +468,33 @@ def test_sweep_reports_a_rejected_point_apart_from_a_failed_run(tmp_path, monkey
     assert main(["sweep", str(sweep)]) == 0
     reports = [ln for ln in capsys.readouterr().err.splitlines() if "): " in ln]
     assert reports == [
-        "sweep: point rejected (lan/2/1/selective_drop): ScenarioError: buffer: policy "
-        "SELECTIVE_DROP needs threshold 0 < R < K, got R=0 K=1 (R defaulted to "
-        "floor(0.9 K); set r_cells or r_fraction)",
-        "sweep: run failed (lan/2/1000/selective_drop): InvariantError: synthetic breakage",
-        "sweep: point rejected (lan/2/infinite/selective_drop): ScenarioError: buffer: policy "
-        "SELECTIVE_DROP requires a finite buffer",
+        "sweep: point rejected (lan/2/1/selective_drop/0.9000/0.8000): ScenarioError: "
+        "buffer: policy SELECTIVE_DROP needs threshold 0 < R < K, got R=0 K=1 (R defaulted "
+        "to floor(0.9 K); set r_cells or r_fraction)",
+        "sweep: run failed (lan/2/1000/selective_drop/0.9000/0.8000): InvariantError: "
+        "synthetic breakage",
+        "sweep: point rejected (lan/2/infinite/selective_drop/0.9000/0.8000): ScenarioError: "
+        "buffer: policy SELECTIVE_DROP requires a finite buffer",
     ]
+
+
+@pytest.mark.parametrize("axis, labels", [
+    ("z = 0.5, 0.8", ["lan/2/1/selective_drop/0.9000/0.5000",
+                      "lan/2/1/selective_drop/0.9000/0.8000"]),
+    ("r_fraction = 0.5, 0.6", ["lan/2/1/selective_drop/0.5000/0.8000",
+                               "lan/2/1/selective_drop/0.6000/0.8000"]),
+    ("mss = 512, 1460", ["lan/2/1/selective_drop/0.9000/0.8000/512",
+                         "lan/2/1/selective_drop/0.9000/0.8000/1460"]),
+    ("reverse_buffer = 1, infinite", ["lan/2/1/selective_drop/0.9000/0.8000/1",
+                                      "lan/2/1/selective_drop/0.9000/0.8000/infinite"]),
+])
+def test_sweep_report_names_the_whole_point(axis, labels, capsys):
+    # Each rejected point of a varied axis gets its own label.
+    rows = run_sweep(parse_sweep_text(f"sources = 2\nbuffer = 1\npolicy = sd\n{axis}\n")
+                     .scenarios(), report=sys.stderr)
+    assert all(row.error is not None for row in rows)
+    reports = [ln for ln in capsys.readouterr().err.splitlines() if "): " in ln]
+    assert [ln.split(" (", 1)[1].split("): ", 1)[0] for ln in reports] == labels
 
 
 def _no_run_may_start(monkeypatch):
@@ -571,6 +624,19 @@ def test_builtin_grids_are_pinned():
     assert _table("table2", ("wan",)) == grid[len(grid) // 2:]
 
 
+def test_tables_and_one_value_sweeps_keep_the_header(tmp_path, monkeypatch, capsys):
+    # Neither a table nor a one-value sweep file varies a key without a column.
+    tiny = run_scenario(build_scenario(**TINY))
+    monkeypatch.setattr("ubrsim.sweep.run_scenario", lambda scenario: tiny)
+    sweep = tmp_path / "one.sweep"
+    sweep.write_text("[sweep]\nsources = 2\nreverse_buffer = infinite\nmss = 1460\n"
+                     "rcvwnd = 65535\nduration_s = 0.02\nr_cells = 100\n")
+    for argv, rows in ((["table1"], 4), (["table2"], 48), (["sweep", str(sweep)], 1)):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 1 + rows
+
+
 def test_table3_is_an_alias_of_table2():
     parser = _build_parser()
     assert parser.parse_args(["table1"]).table is TABLES["table1"]
@@ -622,6 +688,16 @@ _SWEEP_VALUES = {
                             st.fractions(0, 1).map(str)),
     "z": st.fractions(Fraction(-1, 2), 3).map(str),
     "duration_s": st.integers(1, 30 * 10**9).map(_decimal),
+    "reverse_buffer": st.one_of(st.integers(0, 5000).map(str), st.just("infinite")),
+    "link_rate_bps": st.integers(0, 10**10).map(str),
+    "link_delay_us": st.integers(0, 10**8).map(lambda ns: f"{ns // 1000}.{ns % 1000:03d}"),
+    "mss": st.sampled_from(["0", "40", "512", "1460", "9180"]),
+    "rcvwnd": st.integers(1, 10**6).map(str),
+    "initial_ssthresh": st.integers(1, 10**6).map(str),
+    "tick_ms": st.integers(1, 10**9).map(lambda ns: f"{ns // 10**6}.{ns % 10**6:06d}"),
+    "rto_initial_ticks": st.integers(0, 10).map(str),
+    "rto_max_ticks": st.integers(0, 1000).map(str),
+    "r_cells": st.integers(0, 5000).map(str),
 }
 
 
@@ -649,7 +725,7 @@ def _outcome(build):
 @given(_SWEEP_FILES)
 def test_one_value_sweep_builds_the_scenario_file_scenario(values):
     sweep = "[sweep]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
-    policy_keys = {"policy": "kind", "r_fraction": "r_fraction", "z": "z"}
+    policy_keys = {"policy": "kind", "r_cells": "r_cells", "r_fraction": "r_fraction", "z": "z"}
     scenario = "[scenario]\n" + "".join(
         f"{k} = {v}\n" for k, v in values.items() if k not in policy_keys
     ) + "[policy]\n" + "".join(
