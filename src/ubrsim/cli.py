@@ -126,14 +126,29 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class CwndTrace(Simulation):
+    """A run that records, per connection, (time in ns, cwnd in bytes) at its
+    first send decision and at each later one that leaves a different cwnd."""
+
+    def __init__(self, scenario) -> None:
+        super().__init__(scenario)
+        self.traces = [[] for _ in range(scenario.n_sources)]
+
+    def _send(self, conn: int) -> None:
+        super()._send(conn)
+        cwnd, trace = self.senders[conn].cwnd, self.traces[conn]
+        if not trace or trace[-1][1] != cwnd:
+            trace.append((self.engine.now, cwnd))
+
+
 def _cmd_trace(args) -> int:
-    sim = Simulation(parse_scenario_file(args.scenario), collect_cwnd=True)
+    sim = CwndTrace(parse_scenario_file(args.scenario))
     prefix = None if args.output == "-" else args.output
     with contextlib.ExitStack() as stack:
         outs = [stack.enter_context(open_output(prefix and f"{prefix}.conn{conn}.csv"))
                 for conn in range(sim.scenario.n_sources)]
         sim.run()
-        for conn, (out, trace) in enumerate(zip(outs, sim.cwnd_traces)):
+        for conn, (out, trace) in enumerate(zip(outs, sim.traces)):
             lines = "".join(f"{t},{cwnd}\n" for t, cwnd in trace)
             if out is None:
                 sys.stdout.write(f"# conn {conn}\n{lines}")

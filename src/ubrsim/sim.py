@@ -36,7 +36,7 @@ from .tcp import TcpReceiver, TcpSender
 class Simulation:
     """One fully wired run. Build, call run(), read the RunResult."""
 
-    def __init__(self, scenario: Scenario, collect_cwnd: bool = False) -> None:
+    def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
         self.engine = EventQueue()
         n = scenario.n_sources
@@ -85,21 +85,11 @@ class Simulation:
             self._on_ack)
         self.ports = [self.a_fwd_port, b_rev]
 
-        self.cwnd_traces: list[list[tuple[int, int]]] | None = (
-            [[] for _ in range(n)] if collect_cwnd else None
-        )
-
     def emit_segments(self, frames, link: CellLink) -> None:
         for frame in frames:
             cells = segment_to_cells(frame)
             self.cells_injected += len(cells)
             link.send_cells(cells)
-
-    def record_cwnd(self, conn: int) -> None:
-        cwnd = self.senders[conn].cwnd
-        trace = self.cwnd_traces[conn]
-        if not trace or trace[-1][1] != cwnd:
-            trace.append((self.engine.now, cwnd))
 
     def _on_data(self, frame: Frame) -> None:
         """A whole data frame reaches its destination host: ack it."""
@@ -121,12 +111,12 @@ class Simulation:
         eng.schedule(eng.now + self.scenario.tick_ns, TIMER_TICK, self._on_tick, None)
 
     def _send(self, conn: int) -> None:
-        """Let conn's sender emit what its window allows, then trace its cwnd."""
+        """Let conn's sender emit what its window allows. This is the one point
+        where a sender acts (first send, ack, timer tick); cli.CwndTrace
+        extends it to record the cwnd."""
         out = self.senders[conn].try_send(self.engine.now)
         if out:
             self.emit_segments(out, self.data_links[conn])
-        if self.cwnd_traces is not None:
-            self.record_cwnd(conn)
 
     def run(self) -> RunResult:
         eng = self.engine
@@ -140,24 +130,16 @@ class Simulation:
         for port in self.ports:
             port.check()
         scn = self.scenario
-        n = scn.n_sources
         delivered_bytes = tuple(r.rcv_nxt for r in self.receivers)
         hops = self.b_dst_hops + self.a_src_hops
         max_queue_by_port = {p.name: p.max_x for p in self.ports}
         max_queue_by_port.update((h.name, h.peak) for h in hops)
         drops_by_port = {p.name: p.drops_total() for p in self.ports}
         drops_by_port.update((h.name, 0) for h in hops)
-        drops_by_reason: dict[str, int] = {}
-        for reason in DropReason:
-            if reason is DropReason.NONE:
-                continue
-            total = sum(p.drops_by_reason[reason] for p in self.ports)
-            if total:
-                drops_by_reason[reason.name] = total
-        drops_by_vc = [0] * n
-        for p in self.ports:
-            for vc in range(n):
-                drops_by_vc[vc] += p.drops_by_vc[vc]
+        # Ports count by DropReason index and VC; NONE, an admitted cell, stays 0.
+        by_reason = zip(DropReason, map(sum, zip(*(p.drops_by_reason for p in self.ports))))
+        drops_by_reason = {reason.name: total for reason, total in by_reason if total}
+        drops_by_vc = tuple(map(sum, zip(*(p.drops_by_vc for p in self.ports))))
         dropped = sum(drops_by_port.values())
         # Every frame a hop schedules fires within the run, so a CELL_ARRIVAL
         # still pending at the end is always a cell on a link into a port.
@@ -173,7 +155,7 @@ class Simulation:
             max_queue_by_port=max_queue_by_port,
             drops_by_reason=drops_by_reason,
             drops_by_port=drops_by_port,
-            drops_by_vc=tuple(drops_by_vc),
+            drops_by_vc=drops_by_vc,
             reassembly_discards=sum(h.reasm.discards for h in hops),
             retransmitted_segments=sum(s.retransmits for s in self.senders),
             timeouts=sum(s.timeouts for s in self.senders),

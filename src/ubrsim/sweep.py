@@ -136,16 +136,19 @@ def _error_row(exc, columns=(), config=_DEFAULT.config_class, sources=_DEFAULT.n
     """A row that keeps the point of a combination that has no Scenario and
     reports why. A parameter the point leaves out takes build_scenario's
     default; a policy alias is written as its canonical name, an unknown one
-    as spelled. Z and R/K show where a result row of the policy would."""
+    as spelled. Z and R/K show where a result row of the policy would, R/K
+    as r_cells / buffer where the point sets r_cells and a finite buffer."""
     if isinstance(policy, str):
         policy = POLICY_ALIASES.get(policy.lower(), policy)
-    if policy in (Policy.SELECTIVE_DROP, Policy.FBA):
-        z = DEFAULT_Z if z is None else z
-        r_fraction = SD_FBA_DEFAULT_R_FRACTION if r_fraction is None else r_fraction
-    else:
-        z = None
-        if policy is not Policy.EPD:
-            r_fraction = None
+    sd_fba = policy in (Policy.SELECTIVE_DROP, Policy.FBA)
+    z = (DEFAULT_Z if z is None else z) if sd_fba else None
+    r_cells = rest.get("r_cells")
+    if not sd_fba and policy is not Policy.EPD:
+        r_fraction = None
+    elif r_cells is not None:  # R takes r_cells first, as in build_scenario
+        r_fraction = r_cells / buffer if buffer is not None and buffer > 0 else None
+    elif r_fraction is None and sd_fba:
+        r_fraction = SD_FBA_DEFAULT_R_FRACTION
     return ResultRow(
         config=config,
         n_sources=sources,

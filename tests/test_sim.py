@@ -7,6 +7,7 @@ import pytest
 from collections import Counter
 
 from ubrsim.aal5 import cells_for_segment
+from ubrsim.cli import CwndTrace
 from ubrsim.engine import APP_SEND, CELL_ARRIVAL, CELL_DEPARTURE, TIMER_TICK, InvariantError
 from ubrsim.scenario import build_scenario
 from ubrsim.sim import Simulation, run_scenario
@@ -101,36 +102,37 @@ def test_epd_run_has_no_reassembly_waste_from_threshold_drops():
 
 
 def test_cwnd_trace_collection():
-    sim = Simulation(_tiny(buffer=None), collect_cwnd=True)
+    sim = CwndTrace(_tiny(buffer=None))
     sim.run()
-    for trace in sim.cwnd_traces:
+    for trace in sim.traces:
         assert trace[0][1] == 512  # every sender starts at one segment
         times = [t for t, _ in trace]
         assert times == sorted(times)
         assert trace[-1][1] > 512
 
 
-def _round_traces(sim):
-    """Hook sim's cwnd recorder to log each sender's cwnd at every round
-    boundary; a round ends when the ack clock has covered one full window."""
-    rounds = [[] for _ in sim.senders]
-    targets = [0] * len(sim.senders)
+class _RoundTrace(Simulation):
+    """Logs each sender's cwnd at every round boundary, seen at its send
+    decisions; a round ends when the ack clock has covered one full window."""
 
-    def record(conn):
-        sender = sim.senders[conn]
-        if sender.snd_una >= targets[conn]:
-            rounds[conn].append(sender.cwnd)
-            targets[conn] = sender.snd_nxt
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.rounds = [[] for _ in self.senders]
+        self.targets = [0] * len(self.senders)
 
-    sim.record_cwnd = record
-    return rounds
+    def _send(self, conn):
+        super()._send(conn)
+        sender = self.senders[conn]
+        if sender.snd_una >= self.targets[conn]:
+            self.rounds[conn].append(sender.cwnd)
+            self.targets[conn] = sender.snd_nxt
 
 
 def test_round_trace_doubles_in_slow_start():
-    sim = Simulation(_tiny(buffer=None), collect_cwnd=True)
-    round_traces = _round_traces(sim)
+    sim = _RoundTrace(_tiny(buffer=None))
     sim.run()
-    for rounds in round_traces:
+    for rounds in sim.rounds:
+        assert len(rounds) > 2
         # slow start: cwnd at consecutive round boundaries doubles (+-1 mss)
         for prev, cur in zip(rounds, rounds[1:]):
             if cur >= 65535:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -572,6 +573,20 @@ def test_error_row_shows_defaults_and_lower_case_names(text, row):
             error_row.policy, error_row.r_fraction, error_row.z) == row
 
 
+@pytest.mark.parametrize("policy, name, z", [
+    ("epd", "epd", None), ("sd", "selective_drop", 0.8),
+])
+def test_error_row_shows_r_cells_over_the_buffer(policy, name, z):
+    # The reverse buffer rejects the second point; its row shows the R/K
+    # that the first point's result row shows, not the policy's default.
+    rows = run_sweep(parse_sweep_text(
+        f"[sweep]\nsources = 2\nbuffer = 300\npolicy = {policy}\nr_cells = 100\n"
+        "reverse_buffer = 300, infinite\nduration_s = 0.02\n").scenarios())
+    assert [r.error is None for r in rows] == [True, False]
+    assert [(r.policy, r.r_fraction, r.z) for r in rows] == [(name, 100 / 300, z)] * 2
+    assert results_csv(rows).splitlines()[2].startswith(f"lan,2,300,{name},0.3333,")
+
+
 def test_cli_sweep_with_invalid_point_emits_every_row(tmp_path):
     sweep = tmp_path / "mixed.sweep"
     sweep.write_text(
@@ -673,6 +688,23 @@ def test_cli_trace_writes_one_file_per_connection(tmp_path):
     for conn in (0, 1):
         lines = (tmp_path / f"out.conn{conn}.csv").read_text().splitlines()
         assert lines[0] == "0,512" and len(lines) > 1
+
+
+def test_cli_trace_of_a_lossy_run_is_pinned(tmp_path, capsys):
+    # A run that drops cells, so the trace holds resets to one segment as
+    # well as slow-start growth; the digest is of the whole stdout.
+    text = "sources = 3\nbuffer = 300\ntick_ms = 1\nduration_s = 0.2\n"
+    path = tmp_path / "lossy.scn"
+    path.write_text(text)
+    assert main(["trace", str(path), "-o", "-"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8f62d21dbd34bbfccdf45fff11377bd4822c9f84f42582918e26199278d6efc9")
+    lines = out.splitlines()
+    assert len(lines) == 775
+    assert [ln for ln in lines if ln.startswith("#")] == ["# conn 0", "# conn 1", "# conn 2"]
+    assert sum(ln.endswith(",512") for ln in lines) == 69  # first sends and resets
+    assert run_scenario(parse_scenario_text(text)).cells_dropped == 1304
 
 
 def _decimal(ns: int) -> str:

@@ -8,10 +8,13 @@ WAN, 1 to 15 sources, every drop policy, buffers from one cell to 3,000,
 link delays from 0 to 5 ms with extra weight on the tie-sensitive values
 around one cell time (2725 to 2728 ns), and an MSS of 512 bytes (12
 cells, the paper's), 40 (2 cells with no padding), 1,460 (32 cells) or
-9,180 (193 cells). About half the runs also set the receiver window away
-from its default: below two segments (which build_scenario rejects), not
-a multiple of the MSS, 65,535 or 600,000 bytes; and some set
-initial_ssthresh. Each tree runs all of them in its own subprocess. A run's outcome is the sha256 of its RunResult in
+9,180 (193 cells). Some frame-aware runs set the threshold R as a
+fraction of the buffer K (1 among them), and some of the others as
+r_cells, from 1 cell to above K; build_scenario rejects R >= K. About
+half the runs also set the receiver window away from its default: below
+two segments (which build_scenario rejects), not a multiple of the MSS,
+65,535 or 600,000 bytes; and some set initial_ssthresh. Each tree runs
+all of them in its own subprocess. A run's outcome is the sha256 of its RunResult in
 canonical JSON (every field, keys sorted; the form of tests/test_golden.py)
 or, for a combination build_scenario rejects or a run that raises, the
 error's type and message. Outcomes that differ are printed with their
@@ -82,6 +85,10 @@ def draw_scenarios(runs: int, seed: int) -> list[dict]:
             point["reverse_buffer"] = rng.randint(1, 200)
         if policy != "tail_drop" and rng.random() < 0.4:
             point["r_fraction"] = rng.choice(("1/2", "4/5", "9/10", "1"))
+        elif policy != "tail_drop" and rng.random() < 0.4:
+            k = point["buffer"]  # R = K or above is rejected
+            point["r_cells"] = rng.choice((rng.randint(1, k), rng.randint(1, k), k,
+                                           k + rng.randint(1, 50)))
         if policy in ("sd", "fba") and rng.random() < 0.4:
             point["z"] = rng.choice(("1/2", "4/5", "1", "3/2", "0"))
         if rng.random() < 0.5:
