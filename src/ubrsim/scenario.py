@@ -8,7 +8,8 @@ named scalar with a LAN or WAN default, overridable per scenario file.
 KEYS is the one vocabulary of run input: it maps each key of a scenario
 file, which a sweep file also takes (kind spelled policy) and crosses in
 KEYS order, to its build_scenario parameter and value parser, and every
-Scenario is built and validated by build_scenario.
+Scenario is built and validated by build_scenario, the one place that
+knows how a point resolves (class defaults, policy aliases, R and Z).
 """
 
 from __future__ import annotations
@@ -18,13 +19,17 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .aal5 import CELL_WIRE_BYTES, cells_for_segment
+from .aal5 import cell_time, cells_for_segment
 from .engine import NS_PER_MS, NS_PER_SEC, NS_PER_US
 from .switches import Policy
 
 
 class ScenarioError(ValueError):
-    """Invalid scenario input; carries the offending field name."""
+    """Invalid scenario input; carries the offending field name and, as
+    scenario, the point as build_scenario resolved it before a check failed
+    (for reporting only, never run), or None where nothing resolved."""
+
+    scenario: Scenario | None = None
 
     def __init__(self, field: str, message: str) -> None:
         super().__init__(f"{field}: {message}")
@@ -78,7 +83,8 @@ class Scenario:
 
     @property
     def r_fraction(self) -> float | None:
-        return None if self.r_cells is None else self.r_cells / self.buffer_cells
+        r, k = self.r_cells, self.buffer_cells
+        return None if r is None or k < 1 else r / k
 
 
 _SAME = object()  # reverse_buffer default: mirror the forward buffer
@@ -103,10 +109,15 @@ def build_scenario(
     rto_initial_ticks: int = 3,
     rto_max_ticks: int = 640,
 ) -> Scenario:
-    """Validate parameters and fill class defaults; raises ScenarioError."""
+    """Resolve every default of the point, then check it; raises ScenarioError."""
     config = config.lower()
     if config not in CLASS_DEFAULTS:
         raise ScenarioError("config", f"unknown configuration class {config!r} (lan or wan)")
+    if isinstance(policy, str):
+        try:
+            policy = POLICY_ALIASES[policy.lower()]
+        except KeyError:
+            raise ScenarioError("policy", f"unknown policy {policy!r}") from None
     defaults = CLASS_DEFAULTS[config]
     if link_delay_ns is None:
         link_delay_ns = defaults["link_delay_ns"]
@@ -117,59 +128,8 @@ def build_scenario(
     ssthresh_defaulted = initial_ssthresh is None
     if ssthresh_defaulted:
         initial_ssthresh = rcvwnd
-
-    if isinstance(policy, str):
-        try:
-            policy = POLICY_ALIASES[policy.lower()]
-        except KeyError:
-            raise ScenarioError("policy", f"unknown policy {policy!r}") from None
-
-    if sources < 1:
-        raise ScenarioError("sources", f"need at least one source, got {sources}")
-    if mss < 1:
-        raise ScenarioError("mss", f"segment size must be positive, got {mss}")
-    if rcvwnd < mss:
-        raise ScenarioError("rcvwnd", f"receiver window {rcvwnd} below one segment ({mss})")
-    if initial_ssthresh < 2 * mss:
-        if ssthresh_defaulted:  # name the key the user set
-            raise ScenarioError(
-                "rcvwnd", f"receiver window {rcvwnd} below two segments ({2 * mss}), the "
-                "least initial_ssthresh, which defaults to the receiver window",
-            )
-        raise ScenarioError(
-            "initial_ssthresh", f"must be at least two segments, got {initial_ssthresh}"
-        )
-    if link_rate_bps <= 0:
-        raise ScenarioError("link_rate_bps", f"must be positive, got {link_rate_bps}")
-    if link_delay_ns < 0:
-        raise ScenarioError("link_delay_ns", f"must be non-negative, got {link_delay_ns}")
-    # A timer that fires faster than a source can put one segment on the
-    # wire lets timeouts refill the links faster than line rate. The frame
-    # time, frame_cells * 53 * 8 bits at link_rate_bps, is cross-multiplied.
-    frame_cells = cells_for_segment(mss)
-    frame_bit_ns = frame_cells * CELL_WIRE_BYTES * 8 * NS_PER_SEC
-    if tick_ns * link_rate_bps < frame_bit_ns:
-        raise ScenarioError(
-            "tick_ns",
-            f"tick of {tick_ns} ns is shorter than one {mss}-byte segment's "
-            f"{frame_cells} cells on the wire ({-(-frame_bit_ns // link_rate_bps)} ns)",
-        )
-    if duration_ns < 1:
-        raise ScenarioError("duration_ns", f"must be positive, got {duration_ns}")
-    if rto_initial_ticks < 1:
-        raise ScenarioError("rto_initial_ticks", f"must be at least 1, got {rto_initial_ticks}")
-    if rto_max_ticks < rto_initial_ticks:
-        raise ScenarioError(
-            "rto_max_ticks",
-            f"must be at least rto_initial_ticks ({rto_initial_ticks}), got {rto_max_ticks}",
-        )
-    if buffer is not None and buffer < 1:
-        raise ScenarioError("buffer", f"finite buffer must hold at least one cell, got {buffer}")
     if reverse_buffer is _SAME:
         reverse_buffer = buffer
-    if reverse_buffer is not None and reverse_buffer < 1:
-        raise ScenarioError("reverse_buffer", f"must hold at least one cell, got {reverse_buffer}")
-
     if policy not in (Policy.SELECTIVE_DROP, Policy.FBA):
         z = None
     elif z is None:
@@ -187,28 +147,8 @@ def build_scenario(
             return k - EPD_DEFAULT_HEADROOM_CELLS
         return (SD_FBA_DEFAULT_R_FRACTION * k).__floor__()
 
-    # Both directions' thresholds are resolved and checked here, once, so a
-    # bad combination fails at build time, not mid-run; ports trust them.
     r_fwd, r_rev = threshold(buffer), threshold(reverse_buffer)
-    if policy is not Policy.TAIL_DROP:
-        if r_cells is not None and r_fraction is not None:
-            raise ScenarioError("r_cells", "give r_cells or r_fraction, not both")
-        if r_fraction is not None and not 0 < r_fraction < 1:
-            raise ScenarioError("r_fraction", f"need 0 < fraction < 1, got {r_fraction}")
-        for key, k, r in (("buffer", buffer, r_fwd), ("reverse_buffer", reverse_buffer, r_rev)):
-            if k is None:
-                raise ScenarioError(key, f"policy {policy.name} requires a finite buffer")
-            if policy is not Policy.EPD and z <= 0:
-                raise ScenarioError("z", f"policy {policy.name} needs cutoff Z > 0, got {z}")
-            if not 0 < r < k:
-                message = f"policy {policy.name} needs threshold 0 < R < K, got R={r} K={k}"
-                if r_cells is None and r_fraction is None:
-                    rule = (f"K - {EPD_DEFAULT_HEADROOM_CELLS}" if policy is Policy.EPD
-                            else f"floor({float(SD_FBA_DEFAULT_R_FRACTION)} K)")
-                    message += f" (R defaulted to {rule}; set r_cells or r_fraction)"
-                raise ScenarioError(key, message)
-
-    return Scenario(
+    scenario = Scenario(
         config_class=config,
         n_sources=sources,
         link_rate_bps=link_rate_bps,
@@ -227,6 +167,77 @@ def build_scenario(
         rto_initial_ticks=rto_initial_ticks,
         rto_max_ticks=rto_max_ticks,
     )
+    try:
+        if sources < 1:
+            raise ScenarioError("sources", f"need at least one source, got {sources}")
+        if mss < 1:
+            raise ScenarioError("mss", f"segment size must be positive, got {mss}")
+        if rcvwnd < mss:
+            raise ScenarioError("rcvwnd", f"receiver window {rcvwnd} below one segment ({mss})")
+        if initial_ssthresh < 2 * mss:
+            if ssthresh_defaulted:  # name the key the user set
+                raise ScenarioError(
+                    "rcvwnd", f"receiver window {rcvwnd} below two segments ({2 * mss}), the "
+                    "least initial_ssthresh, which defaults to the receiver window",
+                )
+            raise ScenarioError(
+                "initial_ssthresh", f"must be at least two segments, got {initial_ssthresh}"
+            )
+        if link_rate_bps <= 0:
+            raise ScenarioError("link_rate_bps", f"must be positive, got {link_rate_bps}")
+        if link_delay_ns < 0:
+            raise ScenarioError("link_delay_ns", f"must be non-negative, got {link_delay_ns}")
+        # A timer that fires faster than a source can put one segment on the
+        # wire lets timeouts refill the links faster than line rate. The
+        # frame time, frame_cells cell times of num/den ns, is cross-multiplied.
+        frame_cells = cells_for_segment(mss)
+        num, den = cell_time(link_rate_bps)
+        if tick_ns * den < frame_cells * num:
+            raise ScenarioError(
+                "tick_ns",
+                f"tick of {tick_ns} ns is shorter than one {mss}-byte segment's "
+                f"{frame_cells} cells on the wire ({-(-frame_cells * num // den)} ns)",
+            )
+        if duration_ns < 1:
+            raise ScenarioError("duration_ns", f"must be positive, got {duration_ns}")
+        if rto_initial_ticks < 1:
+            raise ScenarioError("rto_initial_ticks",
+                                f"must be at least 1, got {rto_initial_ticks}")
+        if rto_max_ticks < rto_initial_ticks:
+            raise ScenarioError(
+                "rto_max_ticks",
+                f"must be at least rto_initial_ticks ({rto_initial_ticks}), got {rto_max_ticks}",
+            )
+        if buffer is not None and buffer < 1:
+            raise ScenarioError("buffer",
+                                f"finite buffer must hold at least one cell, got {buffer}")
+        if reverse_buffer is not None and reverse_buffer < 1:
+            raise ScenarioError("reverse_buffer",
+                                f"must hold at least one cell, got {reverse_buffer}")
+        # Both directions' thresholds are checked here, once, so a bad
+        # combination fails at build time, not mid-run; ports trust them.
+        if policy is not Policy.TAIL_DROP:
+            if r_cells is not None and r_fraction is not None:
+                raise ScenarioError("r_cells", "give r_cells or r_fraction, not both")
+            if r_fraction is not None and not 0 < r_fraction < 1:
+                raise ScenarioError("r_fraction", f"need 0 < fraction < 1, got {r_fraction}")
+            for key, k, r in (("buffer", buffer, r_fwd),
+                              ("reverse_buffer", reverse_buffer, r_rev)):
+                if k is None:
+                    raise ScenarioError(key, f"policy {policy.name} requires a finite buffer")
+                if policy is not Policy.EPD and z <= 0:
+                    raise ScenarioError("z", f"policy {policy.name} needs cutoff Z > 0, got {z}")
+                if not 0 < r < k:
+                    message = f"policy {policy.name} needs threshold 0 < R < K, got R={r} K={k}"
+                    if r_cells is None and r_fraction is None:
+                        rule = (f"K - {EPD_DEFAULT_HEADROOM_CELLS}" if policy is Policy.EPD
+                                else f"floor({float(SD_FBA_DEFAULT_R_FRACTION)} K)")
+                        message += f" (R defaulted to {rule}; set r_cells or r_fraction)"
+                    raise ScenarioError(key, message)
+    except ScenarioError as exc:
+        exc.scenario = scenario
+        raise
+    return scenario
 
 
 def _integer(text: str) -> int:

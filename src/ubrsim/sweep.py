@@ -6,7 +6,8 @@ key of scenario.KEYS ([policy] kind spelled policy), crossed in KEYS order,
 outermost first. Runs are isolated (separate processes when parallel), a
 Scenario that several points share runs once, and rows come back in
 cross-product order, each varied axis without a column adding one, so
-output is a pure function of the spec.
+output is a pure function of the spec. Every row, of a result, a failed
+run or a rejected point, shows its point as build_scenario resolved it.
 """
 
 from __future__ import annotations
@@ -21,12 +22,8 @@ from dataclasses import dataclass, fields
 from functools import partial
 
 from .metrics import RunResult
-from .scenario import (
-    DEFAULT_Z, KEYS, POLICY_ALIASES, SD_FBA_DEFAULT_R_FRACTION, Scenario, ScenarioError,
-    build_scenario, parse_value, read_keys,
-)
+from .scenario import KEYS, Scenario, ScenarioError, build_scenario, parse_value, read_keys
 from .sim import run_scenario
-from .switches import Policy
 
 
 @dataclass(frozen=True)
@@ -66,16 +63,18 @@ class SweepSpec:
 
     def scenarios(self) -> list[Scenario | ResultRow]:
         """The cross product as run_sweep takes it: the Scenario of each valid
-        combination and, in place of each invalid one, the error row that
-        reports it, so one bad combination does not sink the sweep."""
+        combination and, in place of each invalid one, the error row of the
+        Scenario its ScenarioError carries, so one bad combination does not
+        sink the sweep; a config or policy that names nothing stops it."""
         names = [name for name, _ in self.axes]
         out: list[Scenario | ResultRow] = []
         for combo in itertools.product(*(values for _, values in self.axes)):
-            point = dict(zip(names, combo))
             try:
-                out.append(build_scenario(**point))
+                out.append(build_scenario(**dict(zip(names, combo))))
             except ScenarioError as exc:
-                out.append(_error_row(exc, self.columns, **point))
+                if exc.scenario is None:
+                    raise
+                out.append(_error_row(exc.scenario, exc, self.columns))
         return out
 
 
@@ -103,14 +102,13 @@ def parse_sweep_file(path: str) -> SweepSpec:
 
 def _configuration(scenario: Scenario, columns=()) -> dict:
     """The configuration columns of a Scenario's rows, and its value of each of columns."""
-    z = scenario.z
     return dict(
         config=scenario.config_class,
         n_sources=scenario.n_sources,
         buffer_cells=scenario.buffer_cells,
         policy=scenario.policy.name.lower(),
         r_fraction=scenario.r_fraction,
-        z=None if z is None else float(z),
+        z=None if scenario.z is None else float(scenario.z),
         varied=tuple((name, getattr(scenario, _FIELDS.get(name, name))) for name in columns),
     )
 
@@ -127,45 +125,16 @@ def row_for(scenario: Scenario, result: RunResult, columns=()) -> ResultRow:
     )
 
 
-_DEFAULT = build_scenario()  # the Scenario of a point that sets nothing
-
-
-def _error_row(exc, columns=(), config=_DEFAULT.config_class, sources=_DEFAULT.n_sources,
-               buffer=_DEFAULT.buffer_cells, policy=_DEFAULT.policy,
-               r_fraction=None, z=None, **rest) -> ResultRow:
-    """A row that keeps the point of a combination that has no Scenario and
-    reports why. A parameter the point leaves out takes build_scenario's
-    default; a policy alias is written as its canonical name, an unknown one
-    as spelled. Z and R/K show where a result row of the policy would, R/K
-    as r_cells / buffer where the point sets r_cells and a finite buffer."""
-    if isinstance(policy, str):
-        policy = POLICY_ALIASES.get(policy.lower(), policy)
-    sd_fba = policy in (Policy.SELECTIVE_DROP, Policy.FBA)
-    z = (DEFAULT_Z if z is None else z) if sd_fba else None
-    r_cells = rest.get("r_cells")
-    if not sd_fba and policy is not Policy.EPD:
-        r_fraction = None
-    elif r_cells is not None:  # R takes r_cells first, as in build_scenario
-        r_fraction = r_cells / buffer if buffer is not None and buffer > 0 else None
-    elif r_fraction is None and sd_fba:
-        r_fraction = SD_FBA_DEFAULT_R_FRACTION
-    return ResultRow(
-        config=config,
-        n_sources=sources,
-        buffer_cells=buffer,
-        policy=policy if isinstance(policy, str) else policy.name.lower(),
-        r_fraction=None if r_fraction is None else float(r_fraction),
-        z=None if z is None else float(z),
-        error=f"{type(exc).__name__}: {exc}",
-        varied=tuple((name, rest[name]) for name in columns),
-    )
+def _error_row(scenario: Scenario, exc: Exception, columns=()) -> ResultRow:
+    """The row of a rejected or failed Scenario: its configuration and the error."""
+    return ResultRow(**_configuration(scenario, columns), error=f"{type(exc).__name__}: {exc}")
 
 
 def _run_one(scenario: Scenario, columns) -> ResultRow:
     try:
         return row_for(scenario, run_scenario(scenario), columns)
     except Exception as exc:  # a failed run must not sink the sweep
-        return ResultRow(**_configuration(scenario, columns), error=f"{type(exc).__name__}: {exc}")
+        return _error_row(scenario, exc, columns)
 
 
 def run_sweep(points, parallelism: int = 1, report=None, columns=()) -> list[ResultRow]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ubrsim.cli import TABLES, _build_parser, main
@@ -251,7 +251,10 @@ def test_error_row_defaults_are_build_scenarios():
     # A point that leaves a parameter out reports build_scenario's default.
     columns = ("config", "n_sources", "buffer_cells", "policy", "r_fraction", "z")
     default = row_for(build_scenario(), run_scenario(build_scenario(**TINY)))
-    error_row = _error_row(ScenarioError("sources", "synthetic"))
+    with pytest.raises(ScenarioError) as err:
+        build_scenario(duration_ns=0)
+    error_row = _error_row(err.value.scenario, err.value)
+    assert error_row.error == "ScenarioError: duration_ns: must be positive, got 0"
     assert [getattr(error_row, c) for c in columns] == [getattr(default, c) for c in columns]
 
 
@@ -469,30 +472,31 @@ def test_sweep_reports_a_rejected_point_apart_from_a_failed_run(tmp_path, monkey
     assert main(["sweep", str(sweep)]) == 0
     reports = [ln for ln in capsys.readouterr().err.splitlines() if "): " in ln]
     assert reports == [
-        "sweep: point rejected (lan/2/1/selective_drop/0.9000/0.8000): ScenarioError: "
+        "sweep: point rejected (lan/2/1/selective_drop/0.0000/0.8000): ScenarioError: "
         "buffer: policy SELECTIVE_DROP needs threshold 0 < R < K, got R=0 K=1 (R defaulted "
         "to floor(0.9 K); set r_cells or r_fraction)",
         "sweep: run failed (lan/2/1000/selective_drop/0.9000/0.8000): InvariantError: "
         "synthetic breakage",
-        "sweep: point rejected (lan/2/infinite/selective_drop/0.9000/0.8000): ScenarioError: "
+        "sweep: point rejected (lan/2/infinite/selective_drop//0.8000): ScenarioError: "
         "buffer: policy SELECTIVE_DROP requires a finite buffer",
     ]
 
 
 @pytest.mark.parametrize("axis, labels", [
-    ("z = 0.5, 0.8", ["lan/2/1/selective_drop/0.9000/0.5000",
-                      "lan/2/1/selective_drop/0.9000/0.8000"]),
-    ("r_fraction = 0.5, 0.6", ["lan/2/1/selective_drop/0.5000/0.8000",
-                               "lan/2/1/selective_drop/0.6000/0.8000"]),
-    ("mss = 512, 1460", ["lan/2/1/selective_drop/0.9000/0.8000/512",
-                         "lan/2/1/selective_drop/0.9000/0.8000/1460"]),
-    ("reverse_buffer = 1, infinite", ["lan/2/1/selective_drop/0.9000/0.8000/1",
-                                      "lan/2/1/selective_drop/0.9000/0.8000/infinite"]),
+    ("z = 0.5, 0.8", ["lan/2/10/selective_drop/0.9000/0.5000",
+                      "lan/2/10/selective_drop/0.9000/0.8000"]),
+    ("r_fraction = 0.5, 0.6", ["lan/2/10/selective_drop/0.5000/0.8000",
+                               "lan/2/10/selective_drop/0.6000/0.8000"]),
+    ("mss = 512, 1460", ["lan/2/10/selective_drop/0.9000/0.8000/512",
+                         "lan/2/10/selective_drop/0.9000/0.8000/1460"]),
+    ("reverse_buffer = 1, infinite", ["lan/2/10/selective_drop/0.9000/0.8000/1",
+                                      "lan/2/10/selective_drop/0.9000/0.8000/infinite"]),
 ])
 def test_sweep_report_names_the_whole_point(axis, labels, capsys):
-    # Each rejected point of a varied axis gets its own label.
-    rows = run_sweep(parse_sweep_text(f"sources = 2\nbuffer = 1\npolicy = sd\n{axis}\n")
-                     .scenarios(), report=sys.stderr)
+    # Each rejected point of a varied axis gets its own label. K = 10 keeps
+    # the R of r_fraction 0.5 and 0.6 apart; a zero duration rejects all.
+    rows = run_sweep(parse_sweep_text(f"sources = 2\nbuffer = 10\npolicy = sd\n{axis}\n"
+                                      "duration_s = 0\n").scenarios(), report=sys.stderr)
     assert all(row.error is not None for row in rows)
     reports = [ln for ln in capsys.readouterr().err.splitlines() if "): " in ln]
     assert [ln.split(" (", 1)[1].split("): ", 1)[0] for ln in reports] == labels
@@ -557,13 +561,13 @@ def test_invalid_sweep_point_becomes_one_error_row():
     # Z shows only under SD and FBA, as in a result row.
     ("config = WAN\npolicy = EPD\nz = 1/2", ("wan", 5, None, "epd", None, None)),
     # An alias is written under the name a result row of that policy has,
-    # with that policy's default R/K and Z.
-    ("sources = 2\nbuffer = 1\npolicy = sd", ("lan", 2, 1, "selective_drop", 0.9, 0.8)),
-    ("policy = RED", ("lan", 5, None, "red", None, None)),  # unknown: as spelled
-    # A frame-aware point's own R/K shows; EPD's default R = K - 200 does not.
-    ("policy = epd\nr_fraction = 1/2", ("lan", 5, None, "epd", 0.5, None)),
+    # with the R/K that policy's default R resolves to: floor(0.9 * 1) / 1.
+    ("sources = 2\nbuffer = 1\npolicy = sd", ("lan", 2, 1, "selective_drop", 0.0, 0.8)),
+    # R/K is the resolved R over K: none for K < 1 or an infinite K.
+    ("buffer = 0\npolicy = sd", ("lan", 5, 0, "selective_drop", None, 0.8)),
+    ("policy = epd\nr_fraction = 1/2", ("lan", 5, None, "epd", None, None)),
     ("policy = epd", ("lan", 5, None, "epd", None, None)),
-    ("policy = fba\nr_fraction = 1/2\nz = 0", ("lan", 5, None, "fba", 0.5, 0.0)),
+    ("policy = fba\nr_fraction = 1/2\nz = 0", ("lan", 5, None, "fba", None, 0.0)),
     ("sources = 0\nr_fraction = 1/2\nz = 1/2", ("lan", 0, None, "tail_drop", None, None)),
 ])
 def test_error_row_shows_defaults_and_lower_case_names(text, row):
@@ -573,18 +577,75 @@ def test_error_row_shows_defaults_and_lower_case_names(text, row):
             error_row.policy, error_row.r_fraction, error_row.z) == row
 
 
-@pytest.mark.parametrize("policy, name, z", [
-    ("epd", "epd", None), ("sd", "selective_drop", 0.8),
+@pytest.mark.parametrize("k, point, name, z, fraction", [
+    pytest.param(300, "policy = epd\nr_cells = 100", "epd", None, 100 / 300, id="epd-epd-None"),
+    pytest.param(300, "policy = sd\nr_cells = 100", "selective_drop", 0.8, 100 / 300,
+                 id="sd-selective_drop-0.8"),
+    # A fraction of K and EPD's default R resolve as the result row shows
+    # them: floor(7 / 2) / 7 and (300 - 200) / 300.
+    pytest.param(7, "policy = sd\nr_fraction = 1/2", "selective_drop", 0.8, 3 / 7,
+                 id="sd-r_fraction-of-7"),
+    pytest.param(300, "policy = epd", "epd", None, 100 / 300, id="epd-default-r"),
 ])
-def test_error_row_shows_r_cells_over_the_buffer(policy, name, z):
+def test_error_row_shows_r_cells_over_the_buffer(k, point, name, z, fraction):
     # The reverse buffer rejects the second point; its row shows the R/K
-    # that the first point's result row shows, not the policy's default.
+    # that the first point's result row shows.
     rows = run_sweep(parse_sweep_text(
-        f"[sweep]\nsources = 2\nbuffer = 300\npolicy = {policy}\nr_cells = 100\n"
-        "reverse_buffer = 300, infinite\nduration_s = 0.02\n").scenarios())
+        f"[sweep]\nsources = 2\nbuffer = {k}\n{point}\n"
+        f"reverse_buffer = {k}, infinite\nduration_s = 0.02\n").scenarios())
     assert [r.error is None for r in rows] == [True, False]
-    assert [(r.policy, r.r_fraction, r.z) for r in rows] == [(name, 100 / 300, z)] * 2
-    assert results_csv(rows).splitlines()[2].startswith(f"lan,2,300,{name},0.3333,")
+    assert [(r.policy, r.r_fraction, r.z) for r in rows] == [(name, fraction, z)] * 2
+    ran, rejected = results_csv(rows).splitlines()[1:]
+    prefix = f"lan,2,{k},{name},{fraction:.4f},"
+    assert ran.startswith(prefix) and rejected.startswith(prefix)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("policy", "epd, RED", "error: policy: unknown policy 'red'"),
+    ("config", "lan, xan", "error: config: unknown configuration class 'xan' (lan or wan)"),
+], ids=["policy", "config"])
+def test_an_unknown_name_stops_the_sweep(tmp_path, monkeypatch, capsys, key, value, message):
+    # A name that resolves to nothing has no row to show: the sweep stops
+    # before any run, as on a value that does not parse.
+    _no_run_may_start(monkeypatch)
+    sweep = tmp_path / "unknown.sweep"
+    sweep.write_text(f"[sweep]\nsources = 2\nbuffer = 300\n{key} = {value}\n")
+    out = tmp_path / "out.csv"
+    assert main(["sweep", str(sweep), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
+_POINTS = st.fixed_dictionaries(
+    {
+        "sources": st.integers(1, 3),
+        "buffer": st.integers(1, 40),
+        "policy": st.sampled_from(("epd", "sd", "fba")),
+        "z": st.fractions(0, 2, max_denominator=10).filter(lambda z: z > 0),
+    },
+    optional={
+        "r_fraction": st.fractions(0, 1, max_denominator=10),
+        "r_cells": st.integers(0, 41),
+    },
+).filter(lambda point: not {"r_fraction", "r_cells"} <= point.keys())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POINTS)
+def test_a_point_shows_one_configuration_run_or_rejected(point):
+    # Whenever a point builds, crossing it with an infinite reverse buffer,
+    # which every frame-aware policy rejects, shows the same configuration.
+    try:
+        build_scenario(**point)
+    except ScenarioError:
+        assume(False)
+    axes = tuple((name, (value,)) for name, value in point.items())
+    spec = SweepSpec(axes + (("duration_ns", (1_000_000,)),
+                             ("reverse_buffer", (point["buffer"], None))))
+    ran, rejected = run_sweep(spec.scenarios())
+    assert ran.error is None and rejected.error is not None
+    columns = ("config", "n_sources", "buffer_cells", "policy", "r_fraction", "z")
+    assert [getattr(ran, c) for c in columns] == [getattr(rejected, c) for c in columns]
 
 
 def test_cli_sweep_with_invalid_point_emits_every_row(tmp_path):

@@ -13,8 +13,16 @@ fraction of the buffer K (1 among them), and some of the others as
 r_cells, from 1 cell to above K; build_scenario rejects R >= K. About
 half the runs also set the receiver window away from its default: below
 two segments (which build_scenario rejects), not a multiple of the MSS,
-65,535 or 600,000 bytes; and some set initial_ssthresh. Each tree runs
-all of them in its own subprocess. A run's outcome is the sha256 of its RunResult in
+65,535 or 600,000 bytes; and some set initial_ssthresh. Now and then a
+draw also takes an input that one of build_scenario's other checks
+rejects: fewer than one source, an MSS below one byte, a tick below one
+frame time (or just above it), a duration, rto_initial_ticks or link
+rate below one, rto_max_ticks below rto_initial_ticks, a negative link
+delay, a buffer or reverse buffer of 0, an infinite reverse buffer
+(rejected under a frame-aware policy), both r_cells and r_fraction, or an
+unknown config or policy name; so about one draw in eight tests which
+error comes first and its message. Each tree runs all of them in its own
+subprocess. A run's outcome is the sha256 of its RunResult in
 canonical JSON (every field, keys sorted; the form of tests/test_golden.py)
 or, for a combination build_scenario rejects or a run that raises, the
 error's type and message. Outcomes that differ are printed with their
@@ -64,6 +72,27 @@ json.dump({"package": ubrsim.__file__, "outcomes": [outcome(p) for p in points]}
 """
 
 
+def _rejections(rng: random.Random, frame_cells: int) -> tuple[dict, ...]:
+    """One set of inputs per build_scenario check that the main draw never
+    fails; the tick is below the frame time of frame_cells cells, or just
+    above it, a cell taking 2726.3 ns at the default 155.52 Mbps."""
+    return (
+        {"sources": rng.randint(-1, 0)},
+        {"mss": rng.randint(-1, 0)},
+        {"tick_ns": rng.choice((rng.randint(1, 2726 * frame_cells), 2727 * frame_cells))},
+        {"duration_ns": rng.randint(-1, 0)},
+        {"rto_initial_ticks": rng.randint(-1, 0)},
+        {"rto_max_ticks": rng.randint(0, 2)},  # below the default rto_initial_ticks, 3
+        {"link_rate_bps": rng.choice((0, -155_520_000))},
+        {"link_delay_ns": rng.randint(-5 * MS, -1)},
+        {"buffer": 0},
+        {"reverse_buffer": rng.choice((0, None))},
+        {"r_cells": rng.randint(1, 50), "r_fraction": "1/2"},
+        {"config": "xan"},
+        {"policy": "red"},
+    )
+
+
 def draw_scenarios(runs: int, seed: int) -> list[dict]:
     """runs build_scenario keyword sets, a pure function of seed."""
     rng = random.Random(seed)
@@ -100,6 +129,10 @@ def draw_scenarios(runs: int, seed: int) -> list[dict]:
             ))
         if rng.random() < 0.2:
             point["initial_ssthresh"] = rng.randint(2 * mss, 64 * mss)
+        frame_cells = (mss + 56 + 47) // 48  # 56 framing bytes, 48-byte cell payloads
+        for rejection in _rejections(rng, frame_cells):
+            if rng.random() < 0.01:
+                point.update(rejection)
         points.append(point)
     return points
 
