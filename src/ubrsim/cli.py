@@ -7,7 +7,6 @@ early, as under `| head`), 1 invalid input, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 
@@ -94,11 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
         t.add_argument("--config", type=_configs_arg, default=("lan", "wan"),
                        help="lan, wan, or both (default both)")
 
-    trace_p = sub.add_parser("trace", help="emit per-connection cwnd traces for one scenario")
+    trace_p = sub.add_parser("trace", help="emit one conn,time_ns,cwnd table for one scenario")
     trace_p.set_defaults(cmd=_cmd_trace)
     trace_p.add_argument("scenario")
-    trace_p.add_argument("-o", "--output", default=None,
-                         help="file prefix (one file per connection); default or - stdout")
+    trace_p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     return parser
 
 
@@ -142,18 +140,12 @@ class CwndTrace(Simulation):
 
 
 def _cmd_trace(args) -> int:
+    """One conn,time_ns,cwnd table: connection by connection, each in time order."""
     sim = CwndTrace(parse_scenario_file(args.scenario))
-    prefix = None if args.output == "-" else args.output
-    with contextlib.ExitStack() as stack:
-        outs = [stack.enter_context(open_output(prefix and f"{prefix}.conn{conn}.csv"))
-                for conn in range(sim.scenario.n_sources)]
+    with open_output(args.output) as out:
         sim.run()
-        for conn, (out, trace) in enumerate(zip(outs, sim.traces)):
-            lines = "".join(f"{t},{cwnd}\n" for t, cwnd in trace)
-            if out is None:
-                sys.stdout.write(f"# conn {conn}\n{lines}")
-            else:
-                out.write(lines)
+        (out or sys.stdout).write("conn,time_ns,cwnd\n" + "".join(
+            f"{conn},{t},{cwnd}\n" for conn, trace in enumerate(sim.traces) for t, cwnd in trace))
     return EXIT_OK
 
 

@@ -311,7 +311,7 @@ def read_keys(text: str, table: dict):
     """Yield (key, (parameter, parser), raw value) for each key a key=value
     text sets, in table order. Keys before any header belong to the table's
     first section; an unknown section or key raises ScenarioError."""
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         try:
             parser.read_string(text)

@@ -1,21 +1,33 @@
-"""The package root: every exported name resolves."""
+"""The package root, and what the README promises of the package."""
 
-import ubrsim
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in ubrsim.__all__ if not hasattr(ubrsim, name)]
-    assert not missing
-    assert len(set(ubrsim.__all__)) == len(ubrsim.__all__)
+def _fresh_modules(statement: str) -> list[str]:
+    """sys.modules of a fresh interpreter after statement, this checkout's src first."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", f"import sys; {statement}; print(*sys.modules)"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_import_of_the_root_loads_no_submodule():
+    # Every public name is imported from its module; the root exports nothing.
+    assert [m for m in _fresh_modules("import ubrsim") if m.startswith("ubrsim.")] == []
 
 
 def test_readme_documents_every_file_key():
-    from pathlib import Path
-
     from ubrsim.scenario import KEYS
     from ubrsim.sweep import _SWEEP_KEYS
 
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
     keys = [key for table in (KEYS, _SWEEP_KEYS) for section in table.values() for key in section]
     missing = [key for key in keys if f"| `{key}` |" not in readme]
     assert not missing
@@ -23,16 +35,5 @@ def test_readme_documents_every_file_key():
 
 def test_import_loads_no_process_pool():
     # Only a parallel sweep starts a pool, so only it imports one.
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
-    code = ("import sys, ubrsim, ubrsim.cli; "
-            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    modules = set(_fresh_modules("import ubrsim.cli"))
+    assert not {"concurrent.futures", "multiprocessing"} & modules

@@ -150,6 +150,13 @@ def test_parse_rejects_sub_nanosecond_delay():
 def test_parse_rejects_unknown_section():
     with pytest.raises(ScenarioError):
         parse_scenario_text("[topology]\nnodes = 9\n")
+    # [DEFAULT] is an unknown section like any other: its keys are neither
+    # dropped, leaving the default scenario, nor copied into [scenario].
+    for text in ("[DEFAULT]\nsources = 3\nduration_s = 0.01\n",
+                 "[scenario]\nsources = 2\n[DEFAULT]\nduration_s = 0.01\n"):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario_text(text)
+        assert str(err.value) == "file: unknown section [DEFAULT]"
 
 
 def test_scenarios_are_hashable_and_picklable():
@@ -220,6 +227,19 @@ def test_policy_rule_failures_name_the_key(kwargs, field):
     if defaulted:
         rule = "K - 200" if kwargs["policy"] == "epd" else "floor(0.9 K)"
         assert f"(R defaulted to {rule}; " in message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_scenario(link_delay_ns=-1), "link_delay_ns: must be non-negative, got -1"),
+    (lambda: build_scenario(policy="epd", buffer=1000, r_cells=100, r_fraction=Fraction(1, 2)),
+     "r_cells: give r_cells or r_fraction, not both"),
+    (lambda: parse_scenario_text("[scenario]\nsources\n"), "file: unparseable key=value text"),
+], ids=["negative-delay", "r_cells-and-r_fraction", "key-without-value"])
+def test_rejection_messages_lead_with_their_field(build, message):
+    with pytest.raises(ScenarioError) as err:
+        build()
+    assert err.value.field == message.split(":")[0]
+    assert str(err.value).startswith(message)
 
 
 def test_defaulted_initial_ssthresh_error_names_rcvwnd():

@@ -381,6 +381,13 @@ def test_sweep_file_rejects_other_sections():
         parse_sweep_text("[sweep]\nbuffer = 1000\n\n[policy]\nkind = epd\n")
     assert err.value.field == "file"
     assert "[policy]" in str(err.value)
+    # [DEFAULT] is an unknown section like any other: its axes are neither
+    # dropped nor copied into [sweep].
+    for text in ("[DEFAULT]\nsources = 3, 4\n",
+                 "[sweep]\nbuffer = 1000\n[DEFAULT]\nsources = 3, 4\n"):
+        with pytest.raises(ScenarioError) as err:
+            parse_sweep_text(text)
+        assert str(err.value) == "file: unknown section [DEFAULT]"
 
 
 @pytest.mark.parametrize("text", ["z = 1/0", "sources = x", "buffer = big", "sources = ,"])
@@ -520,8 +527,9 @@ def test_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys):
     assert f"cannot write results to {missing!r}" in capsys.readouterr().err
     assert main(["table1", "--config", "lan", "-o", missing]) == 1
     assert main(["run", _write_tiny_scenario(tmp_path), "-o", missing]) == 1
+    capsys.readouterr()  # run's message names missing too; read trace's alone
     assert main(["trace", _write_tiny_scenario(tmp_path), "-o", missing]) == 1
-    assert f"cannot write results to {missing + '.conn0.csv'!r}" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: cannot write results to {missing!r}: ")
     # Input is still read first: a bad scenario names itself, not the output.
     assert main(["run", str(tmp_path / "none.scn"), "-o", missing]) == 1
     assert "none.scn" in capsys.readouterr().err
@@ -533,11 +541,7 @@ def test_cli_trace_emits_time_cwnd_lines(tmp_path):
     proc = _cli("trace", str(path))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "# conn 0"
-    body = [ln for ln in lines if not ln.startswith("#")]
-    t, cwnd = body[0].split(",")
-    assert int(t) >= 0 and int(cwnd) == 512
-    assert "# conn 1" in lines
+    assert lines[:2] == ["conn,time_ns,cwnd", "0,0,512"]  # every sender starts at one segment
 
 
 def test_invalid_sweep_point_becomes_one_error_row():
@@ -738,17 +742,19 @@ def test_cli_trace_dash_output_is_stdout(tmp_path, monkeypatch, capsys):
     path.write_text("config = lan\nsources = 2\nduration_s = 0.02\n")
     assert main(["trace", str(path), "-o", "-"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("# conn 0\n") and "# conn 1\n" in out
-    assert not list(tmp_path.glob("-.conn*"))
+    assert out.startswith("conn,time_ns,cwnd\n0,0,512\n")
+    assert not (tmp_path / "-").exists()
 
 
-def test_cli_trace_writes_one_file_per_connection(tmp_path):
+def test_cli_trace_writes_one_table_to_the_output_path(tmp_path, capsys):
     path = tmp_path / "trace.scn"
     path.write_text("config = lan\nsources = 2\nduration_s = 0.02\n")
-    assert main(["trace", str(path), "-o", str(tmp_path / "out")]) == 0
-    for conn in (0, 1):
-        lines = (tmp_path / f"out.conn{conn}.csv").read_text().splitlines()
-        assert lines[0] == "0,512" and len(lines) > 1
+    assert main(["trace", str(path), "-o", "-"]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["trace", str(path), "-o", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "out.csv").read_bytes() == stdout.encode()
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith("out")] == ["out.csv"]
 
 
 def test_cli_trace_of_a_lossy_run_is_pinned(tmp_path, capsys):
@@ -760,10 +766,10 @@ def test_cli_trace_of_a_lossy_run_is_pinned(tmp_path, capsys):
     assert main(["trace", str(path), "-o", "-"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "8f62d21dbd34bbfccdf45fff11377bd4822c9f84f42582918e26199278d6efc9")
+        "ee0d8430f964f857f19102fc8f4c314ca849b50d8498025b2d2112c6ea147525")
     lines = out.splitlines()
-    assert len(lines) == 775
-    assert [ln for ln in lines if ln.startswith("#")] == ["# conn 0", "# conn 1", "# conn 2"]
+    assert len(lines) == 773
+    assert {ln.split(",")[0] for ln in lines[1:]} == {"0", "1", "2"}
     assert sum(ln.endswith(",512") for ln in lines) == 69  # first sends and resets
     assert run_scenario(parse_scenario_text(text)).cells_dropped == 1304
 

@@ -6,8 +6,9 @@ SRC is a directory holding the ubrsim package (a checkout's src/). The
 script runs the tree in its own subprocess, with the benchmark workloads
 of this checkout's bench/ (read, not changed), and prints one JSON line:
 
-- import_modules: the modules that a fresh `import ubrsim` adds to
-  sys.modules;
+- import_modules: the modules that a fresh `import ubrsim.sweep` adds to
+  sys.modules (the package root imports nothing; sweep imports every
+  module but cli);
 - setup_calls: per benchmark workload, the Python calls (cProfile, builtins
   included, counted per code object) of one bench/workloads.setup,
   averaged over N set-ups made after one unprofiled set-up that fills any
@@ -38,7 +39,7 @@ WORKER = r"""
 import sys
 
 before = set(sys.modules)
-import ubrsim
+import ubrsim.sweep
 
 import_modules = len(set(sys.modules) - before)
 
