@@ -120,7 +120,7 @@ def _cmd_sweep(args) -> int:
         rows = run_sweep([point for points in expanded for point in points],
                          parallelism=args.parallel, report=sys.stderr,
                          columns=specs[0].columns)  # a table's specs add no column
-        emit_results(rows, args.format, out)
+        emit_results(rows, args.format, out, specs[0].columns)
     return EXIT_OK
 
 

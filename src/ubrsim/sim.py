@@ -43,7 +43,6 @@ class Simulation:
         rate = scenario.link_rate_bps
         prop = scenario.link_delay_ns
         end = scenario.duration_ns
-        policy = scenario.policy
 
         self.cells_injected = 0
 
@@ -67,11 +66,10 @@ class Simulation:
             """One direction: a link per connection into the shared port,
             and a leg per connection from that port to its host."""
             hops = [
-                SerializerHop(eng, f"{hop_prefix}{i}", capacity, policy, r_cells, rate, prop,
-                              host, end)
+                SerializerHop(eng, f"{hop_prefix}{i}", capacity, r_cells, rate, prop, host, end)
                 for i in range(n)
             ]
-            port = OutputPort(eng, port_name, capacity, policy, r_cells, scenario.z, rate,
+            port = OutputPort(eng, port_name, capacity, scenario.policy, r_cells, scenario.z, rate,
                               [h.on_cell for h in hops])
             links = [CellLink(eng, rate, prop, port.on_cell_arrival) for _ in range(n)]
             return links, port, hops

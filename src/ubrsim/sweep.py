@@ -5,9 +5,9 @@ one scenario per combination of their values. A sweep file takes every
 key of scenario.KEYS ([policy] kind spelled policy), crossed in KEYS order,
 outermost first. Runs are isolated (separate processes when parallel), a
 Scenario that several points share runs once, and rows come back in
-cross-product order, each varied axis without a column adding one, so
-output is a pure function of the spec. Every row, of a result, a failed
-run or a rejected point, shows its point as build_scenario resolved it.
+cross-product order, each multi-valued axis without a column adding one,
+so output is a pure function of the spec. Every row, of a result, a failed
+run or a rejected point, holds its point as build_scenario resolved it.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import io
 import itertools
 import json
 import sys
-from dataclasses import dataclass, fields
-from functools import partial
+from dataclasses import dataclass
 
 from .metrics import RunResult
 from .scenario import KEYS, Scenario, ScenarioError, build_scenario, parse_value, read_keys
@@ -28,27 +27,38 @@ from .sim import run_scenario
 
 @dataclass(frozen=True)
 class ResultRow:
-    config: str
-    n_sources: int
-    buffer_cells: int | None
-    policy: str
-    r_fraction: float | None
-    z: float | None
-    efficiency: float | None = None
-    fairness: float | None = None
-    max_queue_cells: int | None = None
-    drops: int | None = None
-    reassembly_discards: int | None = None
-    retransmits: int | None = None
+    scenario: Scenario  # as build_scenario resolved it, for a rejected point too
+    result: RunResult | None = None
     error: str | None = None
-    varied: tuple = ()  # (parameter, value) of each varied axis without a column
 
 
-_COLUMNS = tuple(f.name for f in fields(ResultRow))[:-1]  # varied trails them
-_METRICS = _COLUMNS[6:]  # the six before these are the configuration columns
-_CONFIGURATION = ("config", "sources", "buffer", "policy", "r_fraction", "z")  # by parameter
-_BUFFERS = ("buffer_cells", "reverse_buffer")  # None reads "infinite"
-_FIELDS = {"reverse_buffer": "reverse_buffer_cells"}  # Scenario fields named apart
+def _cells(n: int | None):
+    return "infinite" if n is None else n
+
+
+# Each output column once. A configuration column: its name, the
+# build_scenario parameter it shows and its value in a Scenario.
+_CONFIGURATION = (
+    ("config", "config", lambda s: s.config_class),
+    ("n_sources", "sources", lambda s: s.n_sources),
+    ("buffer_cells", "buffer", lambda s: _cells(s.buffer_cells)),
+    ("policy", "policy", lambda s: s.policy.name.lower()),
+    ("r_fraction", "r_fraction", lambda s: s.r_fraction),
+    ("z", "z", lambda s: None if s.z is None else float(s.z)),
+)
+# A metric column: its name and the RunResult field it shows; error follows them.
+_METRICS = (
+    ("efficiency", "efficiency"),
+    ("fairness", "fairness"),
+    ("max_queue_cells", "max_queue_cells"),
+    ("drops", "cells_dropped"),
+    ("reassembly_discards", "reassembly_discards"),
+    ("retransmits", "retransmitted_segments"),
+)
+# Each multi-valued axis without a configuration column adds one after
+# error, named by its parameter: the Scenario field of that name, but these.
+_ADDED = {"reverse_buffer": lambda s: _cells(s.reverse_buffer_cells)}
+_HEADER = (*(name for name, _, _ in _CONFIGURATION), *(name for name, _ in _METRICS), "error")
 
 
 @dataclass(frozen=True)
@@ -57,14 +67,14 @@ class SweepSpec:
 
     @property
     def columns(self) -> tuple[str, ...]:
-        """The varied axes' parameters without a configuration column, in order."""
-        return tuple(name for name, values in self.axes
-                     if len(values) > 1 and name not in _CONFIGURATION)
+        """The multi-valued axes' parameters without a configuration column, in order."""
+        shown = {parameter for _, parameter, _ in _CONFIGURATION}
+        return tuple(name for name, values in self.axes if len(values) > 1 and name not in shown)
 
     def scenarios(self) -> list[Scenario | ResultRow]:
         """The cross product as run_sweep takes it: the Scenario of each valid
-        combination and, in place of each invalid one, the error row of the
-        Scenario its ScenarioError carries, so one bad combination does not
+        combination and, in place of each invalid one, a row of the error and
+        the Scenario its ScenarioError carries, so one bad combination does not
         sink the sweep; a config or policy that names nothing stops it."""
         names = [name for name, _ in self.axes]
         out: list[Scenario | ResultRow] = []
@@ -74,7 +84,7 @@ class SweepSpec:
             except ScenarioError as exc:
                 if exc.scenario is None:
                     raise
-                out.append(_error_row(exc.scenario, exc, self.columns))
+                out.append(ResultRow(exc.scenario, error=_describe(exc)))
         return out
 
 
@@ -100,41 +110,19 @@ def parse_sweep_file(path: str) -> SweepSpec:
         return parse_sweep_text(fh.read())
 
 
-def _configuration(scenario: Scenario, columns=()) -> dict:
-    """The configuration columns of a Scenario's rows, and its value of each of columns."""
-    return dict(
-        config=scenario.config_class,
-        n_sources=scenario.n_sources,
-        buffer_cells=scenario.buffer_cells,
-        policy=scenario.policy.name.lower(),
-        r_fraction=scenario.r_fraction,
-        z=None if scenario.z is None else float(scenario.z),
-        varied=tuple((name, getattr(scenario, _FIELDS.get(name, name))) for name in columns),
-    )
+def row_for(scenario: Scenario, result: RunResult) -> ResultRow:
+    return ResultRow(scenario, result)
 
 
-def row_for(scenario: Scenario, result: RunResult, columns=()) -> ResultRow:
-    return ResultRow(
-        **_configuration(scenario, columns),
-        efficiency=result.efficiency,
-        fairness=result.fairness,
-        max_queue_cells=result.max_queue_cells,
-        drops=result.cells_dropped,
-        reassembly_discards=result.reassembly_discards,
-        retransmits=result.retransmitted_segments,
-    )
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _error_row(scenario: Scenario, exc: Exception, columns=()) -> ResultRow:
-    """The row of a rejected or failed Scenario: its configuration and the error."""
-    return ResultRow(**_configuration(scenario, columns), error=f"{type(exc).__name__}: {exc}")
-
-
-def _run_one(scenario: Scenario, columns) -> ResultRow:
+def _run_one(scenario: Scenario) -> ResultRow:
     try:
-        return row_for(scenario, run_scenario(scenario), columns)
+        return row_for(scenario, run_scenario(scenario))
     except Exception as exc:  # a failed run must not sink the sweep
-        return _error_row(scenario, exc, columns)
+        return ResultRow(scenario, error=_describe(exc))
 
 
 def run_sweep(points, parallelism: int = 1, report=None, columns=()) -> list[ResultRow]:
@@ -146,37 +134,43 @@ def run_sweep(points, parallelism: int = 1, report=None, columns=()) -> list[Res
     two distinct runs go to at least two workers; its workers are never
     more than the distinct runs, and the longest runs are submitted first.
     report, if given, gets the run count and the worker count used (1 for a
-    serial sweep) and one line per error row, naming its point; columns are
-    the sweep's SweepSpec.columns."""
+    serial sweep) and one line per error row, naming its point by its
+    configuration and columns, the sweep's SweepSpec.columns."""
     points = list(points)
     distinct = list(dict.fromkeys(p for p in points if isinstance(p, Scenario)))
     workers = max(1, min(parallelism, len(distinct)))
     if report is not None:
         print(f"sweep: {len(distinct)} runs, parallelism {workers}", file=report)
     if workers == 1:
-        ran = {scenario: _run_one(scenario, columns) for scenario in distinct}
+        ran = {scenario: _run_one(scenario) for scenario in distinct}
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool loads it
 
         distinct.sort(key=lambda scenario: scenario.duration_ns, reverse=True)
         # Under the fork start method a pool starts every worker up front.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            run = partial(_run_one, columns=columns)
-            ran = dict(zip(distinct, pool.map(run, distinct, chunksize=1)))
+            ran = dict(zip(distinct, pool.map(_run_one, distinct, chunksize=1)))
     rows = [ran[p] if isinstance(p, Scenario) else p for p in points]
     for point, row in zip(points, rows):
         if row.error is not None and report is not None:
             what = "run failed" if isinstance(point, Scenario) else "point rejected"
-            label = "/".join(_fmt_csv(v) for name, v in _row_items(row) if name not in _METRICS)
+            label = "/".join(_fmt_csv(v) for _, v in _row_items(row, columns, outcome=False))
             print(f"sweep: {what} ({label}): {row.error}", file=report)
     return rows
 
 
-def _row_items(row: ResultRow):
-    """The row's output columns as (name, value): _COLUMNS, then the varied
-    ones; each format renders floats to 4 decimals and None as empty."""
-    for name, value in itertools.chain(((n, getattr(row, n)) for n in _COLUMNS), row.varied):
-        yield name, "infinite" if value is None and name in _BUFFERS else value
+def _row_items(row: ResultRow, columns, outcome: bool = True):
+    """The row's output columns as (name, value): _HEADER's (without the
+    metrics and error unless outcome), then columns; each format renders
+    floats to 4 decimals and None as empty."""
+    for name, _, value in _CONFIGURATION:
+        yield name, value(row.scenario)
+    if outcome:
+        for name, field in _METRICS:
+            yield name, None if row.result is None else getattr(row.result, field)
+        yield "error", row.error
+    for name in columns:
+        yield name, _ADDED[name](row.scenario) if name in _ADDED else getattr(row.scenario, name)
 
 
 def _fmt_csv(value) -> str:
@@ -187,24 +181,24 @@ def _fmt_csv(value) -> str:
     return str(value)
 
 
-def _row_object(row: ResultRow) -> dict:
+def _row_object(row: ResultRow, columns) -> dict:
     return {
         name: round(value, 4) if isinstance(value, float) else value
-        for name, value in _row_items(row)
+        for name, value in _row_items(row, columns)
     }
 
 
-def results_csv(rows) -> str:
+def results_csv(rows, columns=()) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_COLUMNS + tuple(name for name, _ in rows[0].varied) if rows else _COLUMNS)
+    writer.writerow(_HEADER + tuple(columns))
     for row in rows:
-        writer.writerow(_fmt_csv(value) for _, value in _row_items(row))
+        writer.writerow(_fmt_csv(value) for _, value in _row_items(row, columns))
     return buf.getvalue()
 
 
-def results_json(rows) -> str:
-    return json.dumps([_row_object(r) for r in rows], indent=2) + "\n"
+def results_json(rows, columns=()) -> str:
+    return json.dumps([_row_object(r, columns) for r in rows], indent=2) + "\n"
 
 
 def open_output(destination):
@@ -218,9 +212,11 @@ def open_output(destination):
         raise OSError(f"cannot write results to {destination!r}: {exc}") from exc
 
 
-def emit_results(rows, fmt: str = "csv", out=None) -> None:
-    """Write rows as CSV or JSON to an open text stream, or to stdout (None);
+def emit_results(rows, fmt: str = "csv", out=None, columns=()) -> None:
+    """Write rows as CSV or JSON to an open text stream, or to stdout (None),
+    each with a column per name in columns (a sweep's SweepSpec.columns);
     open_output turns a destination into one."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    (out or sys.stdout).write(results_csv(rows) if fmt == "csv" else results_json(rows))
+    (out or sys.stdout).write(results_csv(rows, columns) if fmt == "csv"
+                              else results_json(rows, columns))

@@ -247,10 +247,10 @@ class SerializerHop:
     gone before one arrival is gone before every later one. peak is the
     most cells any arrival up to end found, plus itself: the peak the
     replaced port would have reported. Should an arrival find as many
-    cells as would have let that port's policy drop one (capacity for tail
-    drop, min(capacity, R + 1) for the frame-aware policies), the hop
-    raises InvariantError rather than let the result drift from the queued
-    model.
+    cells as would have let that port's policy drop one (capacity, or
+    min(capacity, R + 1) where a threshold R is set, as by every
+    frame-aware policy), the hop raises InvariantError rather than let the
+    result drift from the queued model.
     """
 
     __slots__ = (
@@ -263,7 +263,6 @@ class SerializerHop:
         engine,
         name: str,
         capacity: int | None,
-        policy: Policy,
         r_cells: int | None,
         rate_bps: int,
         prop_ns: int,
@@ -277,9 +276,7 @@ class SerializerHop:
         self.sink = sink
         self.end = end
         limit = UNBOUNDED if capacity is None else capacity
-        if policy is not Policy.TAIL_DROP:
-            limit = min(limit, r_cells + 1)
-        self.limit = limit
+        self.limit = limit if r_cells is None else min(limit, r_cells + 1)
         # Cells completing before arrival time + edge have left the port:
         # edge 0 keeps one completing exactly at the arrival (tie joins).
         self.edge = 0 if prop_ns * clock.den >= clock.num else 1

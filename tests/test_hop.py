@@ -97,8 +97,7 @@ def _drive(prop, feed, n_vcs=1, hop=True, capacity=None, ends=(10**9,)):
             log.append((eng.now, frame.vc, frame.seq))
 
         if hop:
-            legs = [SerializerHop(eng, f"hop{v}", capacity, TAIL, None, RATE, prop, sink,
-                                  horizons[0])
+            legs = [SerializerHop(eng, f"hop{v}", capacity, None, RATE, prop, sink, horizons[0])
                     for v in range(n_vcs)]
         else:
             legs = [_QueuedLeg(eng, prop, sink, n_vcs) for _ in range(n_vcs)]
@@ -236,9 +235,9 @@ def test_hop_fails_loudly_where_the_queued_leg_could_drop():
 
 def test_frame_aware_limit_is_threshold_plus_one():
     eng = EventQueue()
-    epd = SerializerHop(eng, "h", 10, Policy.EPD, 1, RATE, 0, None, 10**9)
+    epd = SerializerHop(eng, "h", 10, 1, RATE, 0, None, 10**9)
     assert epd.limit == 2
-    tail = SerializerHop(eng, "h", 10, TAIL, None, RATE, 0, None, 10**9)
+    tail = SerializerHop(eng, "h", 10, None, RATE, 0, None, 10**9)
     assert tail.limit == 10
 
 
@@ -249,7 +248,7 @@ def test_hop_keeps_only_cells_in_its_port():
     prop = 100_000
     cells = [(0, c) for pid in range(400) for c in _frame(0, pid, 5)]
     eng = EventQueue()
-    hop = SerializerHop(eng, "hop", None, TAIL, None, RATE, prop, lambda frame: None, 10**9)
+    hop = SerializerHop(eng, "hop", None, None, RATE, prop, lambda frame: None, 10**9)
     upstream = OutputPort(eng, "up", None, TAIL, None, None, RATE, [hop.on_cell])
     _feed_cells(cells)(eng, upstream)
     eng.run_until(10**9)

@@ -22,7 +22,6 @@ from ubrsim.scenario import ScenarioError, build_scenario, parse_scenario_text
 from ubrsim.sim import Simulation, run_scenario
 from ubrsim.sweep import (
     ResultRow,
-    _error_row,
     SweepSpec,
     emit_results,
     parse_sweep_text,
@@ -36,6 +35,18 @@ from ubrsim.switches import Policy
 TINY = dict(config="lan", sources=2, duration_ns=40_000_000)
 CSV_HEADER = ("config,n_sources,buffer_cells,policy,r_fraction,z,efficiency,fairness,"
               "max_queue_cells,drops,reassembly_discards,retransmits,error")
+CONFIGURATION = CSV_HEADER.split(",")[:6]
+
+
+def _shown(row, columns=()):
+    """row's output cells as its JSON object shows them."""
+    [obj] = json.loads(results_json([row], columns))
+    return obj
+
+
+def _tiny_result(**fields):
+    """A real RunResult with fields replaced, for rows of chosen values."""
+    return replace(run_scenario(build_scenario(**TINY)), **fields)
 
 
 def test_sweep_cardinality_matches_cross_product():
@@ -119,7 +130,7 @@ def test_sweep_runs_each_distinct_scenario_once(monkeypatch):
         assert row == row_for(point, run_scenario(point))
         assert row is rows[points.index(point)]  # duplicates share the first row
     # Rows stay in cross-product order: policy, then r_fraction, then z.
-    assert [(r.policy, r.r_fraction) for r in rows] == [
+    assert [(o["policy"], o["r_fraction"]) for o in json.loads(results_json(rows))] == [
         ("tail_drop", None)] * 4 + [("epd", 0.5)] * 2 + [("epd", 0.9)] * 2
 
 
@@ -127,11 +138,11 @@ def test_rows_name_the_varied_keys_they_ran():
     spec = parse_sweep_text("sources = 2\nmss = 512, 1460\nduration_s = 0.02, 0.04\n")
     assert spec.columns == ("mss", "duration_ns")  # KEYS order
     points = spec.scenarios()
-    rows = run_sweep(points, columns=spec.columns)
+    rows = run_sweep(points)
     assert len(rows) == 4
-    header, *lines = results_csv(rows).splitlines()
+    header, *lines = results_csv(rows, spec.columns).splitlines()
     assert header == CSV_HEADER + ",mss,duration_ns"
-    objects = json.loads(results_json(rows))
+    objects = json.loads(results_json(rows, spec.columns))
     for point, line, obj in zip(points, lines, objects):
         assert line.split(",")[-2:] == [str(point.mss), str(point.duration_ns)]
         assert list(obj)[-2:] == ["mss", "duration_ns"]
@@ -145,16 +156,17 @@ def test_points_of_one_scenario_share_a_row_showing_what_ran(monkeypatch):
     # Tail drop has no threshold, so both points build one Scenario.
     spec = parse_sweep_text("sources = 2\nbuffer = 80\nr_cells = 100, 200\nduration_s = 0.02\n")
     points = spec.scenarios()
-    rows = run_sweep(points, columns=spec.columns)
+    rows = run_sweep(points)
     assert len(calls) == 1 and rows[0] is rows[1]
-    assert rows[0].varied == (("r_cells", None),)
-    assert [line.split(",")[-1] for line in results_csv(rows).splitlines()] == ["r_cells", "", ""]
+    assert list(_shown(rows[0], spec.columns).items())[-1] == ("r_cells", None)
+    assert [line.split(",")[-1] for line in results_csv(rows, spec.columns).splitlines()] == [
+        "r_cells", "", ""]
     # An error row shows the value its point gave (R = 100 is not below K = 80).
     spec = parse_sweep_text("sources = 2\nbuffer = 80\npolicy = epd\nr_cells = 100, 40\n"
                             "duration_s = 0.02\n")
-    rows = run_sweep(spec.scenarios(), columns=spec.columns)
-    assert [(row.error is None, row.varied) for row in rows] == [
-        (False, (("r_cells", 100),)), (True, (("r_cells", 40),))]
+    rows = run_sweep(spec.scenarios())
+    assert [(row.error is None, list(_shown(row, spec.columns).items())[-1]) for row in rows] == [
+        (False, ("r_cells", 100)), (True, ("r_cells", 40))]
 
 
 def test_parallel_sweep_submits_longest_runs_first(monkeypatch):
@@ -215,10 +227,10 @@ def test_parallel_sweep_starts_no_more_workers_than_distinct_runs(monkeypatch):
 
 
 def test_csv_header_and_formatting():
-    row = ResultRow(
-        config="lan", n_sources=5, buffer_cells=1000, policy="epd",
-        r_fraction=0.8, z=None, efficiency=0.2134999, fairness=1.0,
-        max_queue_cells=1000, drops=17, reassembly_discards=3, retransmits=9,
+    row = row_for(
+        build_scenario(sources=5, buffer=1000, policy="epd", r_fraction=Fraction(4, 5)),
+        _tiny_result(efficiency=0.2134999, fairness=1.0, max_queue_cells=1000,
+                     cells_dropped=17, reassembly_discards=3, retransmitted_segments=9),
     )
     text = results_csv([row])
     lines = text.splitlines()
@@ -227,10 +239,10 @@ def test_csv_header_and_formatting():
 
 
 def test_csv_infinite_buffer_and_empty_rows():
-    row = ResultRow(
-        config="wan", n_sources=15, buffer_cells=None, policy="tail_drop",
-        r_fraction=None, z=None, efficiency=1.0, fairness=1.0,
-        max_queue_cells=5, drops=0, reassembly_discards=0, retransmits=0,
+    row = row_for(
+        build_scenario(config="wan", sources=15),
+        _tiny_result(efficiency=1.0, fairness=1.0, max_queue_cells=5, cells_dropped=0,
+                     reassembly_discards=0, retransmitted_segments=0),
     )
     lines = results_csv([row]).splitlines()
     assert lines[1].startswith("wan,15,infinite,tail_drop,,,")
@@ -244,25 +256,21 @@ def test_json_mirrors_csv_fields():
     assert len(data) == 1
     assert list(data[0].keys()) == CSV_HEADER.split(",")
     assert data[0]["buffer_cells"] == "infinite"
-    assert data[0]["efficiency"] == round(row.efficiency, 4)
+    assert data[0]["efficiency"] == round(row.result.efficiency, 4)
 
 
 def test_error_row_defaults_are_build_scenarios():
     # A point that leaves a parameter out reports build_scenario's default.
-    columns = ("config", "n_sources", "buffer_cells", "policy", "r_fraction", "z")
     default = row_for(build_scenario(), run_scenario(build_scenario(**TINY)))
-    with pytest.raises(ScenarioError) as err:
-        build_scenario(duration_ns=0)
-    error_row = _error_row(err.value.scenario, err.value)
+    [error_row] = SweepSpec((("duration_ns", (0,)),)).scenarios()
     assert error_row.error == "ScenarioError: duration_ns: must be positive, got 0"
-    assert [getattr(error_row, c) for c in columns] == [getattr(default, c) for c in columns]
+    shown, expected = _shown(error_row), _shown(default)
+    assert [shown[c] for c in CONFIGURATION] == [expected[c] for c in CONFIGURATION]
 
 
 def test_error_rows_keep_configuration_fields():
-    bad = ResultRow(
-        config="lan", n_sources=5, buffer_cells=10, policy="epd",
-        r_fraction=0.5, z=None, error="Boom: synthetic",
-    )
+    bad = ResultRow(build_scenario(sources=5, buffer=10, policy="epd", r_cells=5),
+                    error="Boom: synthetic")
     lines = results_csv([bad]).splitlines()
     assert lines[1] == "lan,5,10,epd,0.5000,,,,,,,,Boom: synthetic"
     data = json.loads(results_json([bad]))
@@ -502,8 +510,8 @@ def test_sweep_reports_a_rejected_point_apart_from_a_failed_run(tmp_path, monkey
 def test_sweep_report_names_the_whole_point(axis, labels, capsys):
     # Each rejected point of a varied axis gets its own label. K = 10 keeps
     # the R of r_fraction 0.5 and 0.6 apart; a zero duration rejects all.
-    rows = run_sweep(parse_sweep_text(f"sources = 2\nbuffer = 10\npolicy = sd\n{axis}\n"
-                                      "duration_s = 0\n").scenarios(), report=sys.stderr)
+    spec = parse_sweep_text(f"sources = 2\nbuffer = 10\npolicy = sd\n{axis}\nduration_s = 0\n")
+    rows = run_sweep(spec.scenarios(), report=sys.stderr, columns=spec.columns)
     assert all(row.error is not None for row in rows)
     reports = [ln for ln in capsys.readouterr().err.splitlines() if "): " in ln]
     assert [ln.split(" (", 1)[1].split("): ", 1)[0] for ln in reports] == labels
@@ -552,33 +560,32 @@ def test_invalid_sweep_point_becomes_one_error_row():
         ("duration_ns", (20_000_000,)),
     ))
     rows = run_sweep(spec.scenarios())
-    assert [(r.buffer_cells, r.policy) for r in rows] == [
-        (None, "tail_drop"), (None, "epd"), (500, "tail_drop"), (500, "epd"),
+    assert [(r.scenario.buffer_cells, r.scenario.policy) for r in rows] == [
+        (None, Policy.TAIL_DROP), (None, Policy.EPD), (500, Policy.TAIL_DROP), (500, Policy.EPD),
     ]
     assert [r.error is None for r in rows] == [True, False, True, True]
     assert rows[1].error == "ScenarioError: buffer: policy EPD requires a finite buffer"
-    assert rows[1].efficiency is None
+    assert rows[1].result is None and _shown(rows[1])["efficiency"] is None
 
 
 @pytest.mark.parametrize("text, row", [
-    ("sources = 0", ("lan", 0, None, "tail_drop", None, None)),
+    ("sources = 0", ("lan", 0, "infinite", "tail_drop", None, None)),
     # Z shows only under SD and FBA, as in a result row.
-    ("config = WAN\npolicy = EPD\nz = 1/2", ("wan", 5, None, "epd", None, None)),
+    ("config = WAN\npolicy = EPD\nz = 1/2", ("wan", 5, "infinite", "epd", None, None)),
     # An alias is written under the name a result row of that policy has,
     # with the R/K that policy's default R resolves to: floor(0.9 * 1) / 1.
     ("sources = 2\nbuffer = 1\npolicy = sd", ("lan", 2, 1, "selective_drop", 0.0, 0.8)),
     # R/K is the resolved R over K: none for K < 1 or an infinite K.
     ("buffer = 0\npolicy = sd", ("lan", 5, 0, "selective_drop", None, 0.8)),
-    ("policy = epd\nr_fraction = 1/2", ("lan", 5, None, "epd", None, None)),
-    ("policy = epd", ("lan", 5, None, "epd", None, None)),
-    ("policy = fba\nr_fraction = 1/2\nz = 0", ("lan", 5, None, "fba", None, 0.0)),
-    ("sources = 0\nr_fraction = 1/2\nz = 1/2", ("lan", 0, None, "tail_drop", None, None)),
+    ("policy = epd\nr_fraction = 1/2", ("lan", 5, "infinite", "epd", None, None)),
+    ("policy = epd", ("lan", 5, "infinite", "epd", None, None)),
+    ("policy = fba\nr_fraction = 1/2\nz = 0", ("lan", 5, "infinite", "fba", None, 0.0)),
+    ("sources = 0\nr_fraction = 1/2\nz = 1/2", ("lan", 0, "infinite", "tail_drop", None, None)),
 ])
 def test_error_row_shows_defaults_and_lower_case_names(text, row):
     [error_row] = parse_sweep_text(text).scenarios()
     assert error_row.error is not None
-    assert (error_row.config, error_row.n_sources, error_row.buffer_cells,
-            error_row.policy, error_row.r_fraction, error_row.z) == row
+    assert tuple(_shown(error_row)[c] for c in CONFIGURATION) == row
 
 
 @pytest.mark.parametrize("k, point, name, z, fraction", [
@@ -598,7 +605,8 @@ def test_error_row_shows_r_cells_over_the_buffer(k, point, name, z, fraction):
         f"[sweep]\nsources = 2\nbuffer = {k}\n{point}\n"
         f"reverse_buffer = {k}, infinite\nduration_s = 0.02\n").scenarios())
     assert [r.error is None for r in rows] == [True, False]
-    assert [(r.policy, r.r_fraction, r.z) for r in rows] == [(name, fraction, z)] * 2
+    shown = [(_shown(r)["policy"], r.scenario.r_fraction, _shown(r)["z"]) for r in rows]
+    assert shown == [(name, fraction, z)] * 2
     ran, rejected = results_csv(rows).splitlines()[1:]
     prefix = f"lan,2,{k},{name},{fraction:.4f},"
     assert ran.startswith(prefix) and rejected.startswith(prefix)
@@ -648,8 +656,39 @@ def test_a_point_shows_one_configuration_run_or_rejected(point):
                              ("reverse_buffer", (point["buffer"], None))))
     ran, rejected = run_sweep(spec.scenarios())
     assert ran.error is None and rejected.error is not None
-    columns = ("config", "n_sources", "buffer_cells", "policy", "r_fraction", "z")
-    assert [getattr(ran, c) for c in columns] == [getattr(rejected, c) for c in columns]
+    ran_line, rejected_line = results_csv([ran, rejected]).splitlines()[1:]
+    assert ran_line.split(",")[:6] == rejected_line.split(",")[:6]
+
+
+_PINNED_SWEEP = """[sweep]
+sources = 2
+buffer = 80, infinite
+reverse_buffer = 80, infinite
+mss = 512, 1460
+duration_s = 0.02
+policy = tail_drop, sd
+z = 1/2, 4/5
+"""
+
+
+@pytest.mark.parametrize("fmt, lines, digest", [
+    ("csv", 33, "aec85560996a26a10a23ab07fd1c65eb56a9664ae1490e140b07705b6c69388a"),
+    ("json", 546, "148f3d6046b5eec6752f337fe94e7db92882af195b4924a30bdbbb0aac2b8d37"),
+])
+def test_sweep_output_is_pinned(tmp_path, capsys, fmt, lines, digest):
+    # 32 points and 12 runs: rejected rows (SD on an infinite buffer), rows
+    # shared by points that build one Scenario (tail drop ignores z), the
+    # sd alias shown as selective_drop, and the added reverse_buffer and
+    # mss columns, infinite among their values.
+    sweep = tmp_path / "pinned.sweep"
+    sweep.write_text(_PINNED_SWEEP)
+    out = tmp_path / f"out.{fmt}"
+    assert main(["sweep", str(sweep), "--format", fmt, "-o", str(out)]) == 0
+    data = out.read_bytes()
+    assert (len(data.splitlines()), hashlib.sha256(data).hexdigest()) == (lines, digest)
+    err = capsys.readouterr().err.encode()
+    assert (len(err.splitlines()), hashlib.sha256(err).hexdigest()) == (
+        14, "f3d4e2ab30efab81027cea89fb41a63a5c74c4d66d6a75c255cfc78b8ee3295f")
 
 
 def test_cli_sweep_with_invalid_point_emits_every_row(tmp_path):

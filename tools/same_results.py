@@ -24,9 +24,11 @@ unknown config or policy name; so about one draw in eight tests which
 error comes first and its message. Each tree runs all of them in its own
 subprocess. A run's outcome is the sha256 of its RunResult in
 canonical JSON (every field, keys sorted; the form of tests/test_golden.py)
-or, for a combination build_scenario rejects or a run that raises, the
-error's type and message. Outcomes that differ are printed with their
-scenario, and the exit status is 1 if there is any, else 0.
+and, after a space, its row as the CLI renders it (the data line of
+sweep.results_csv) or, for a combination build_scenario rejects or a run
+that raises, the error's type and message. Outcomes that differ are
+printed with their scenario, and the exit status is 1 if there is any,
+else 0.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ DELAYS_NS = (0, 1, 1000, 2725, 2726, 2727, 2728, 5000, 5 * MS)
 
 # Runs in each tree's subprocess: reads a JSON list of build_scenario
 # keyword arguments (fractions as strings) and writes the package path
-# and one outcome per scenario.
+# and one outcome per scenario. A built point's outcome holds no ": ",
+# which marks an error's (see main).
 WORKER = r"""
 import dataclasses, hashlib, json, sys
 from fractions import Fraction
@@ -53,6 +56,7 @@ from fractions import Fraction
 import ubrsim
 from ubrsim.scenario import build_scenario
 from ubrsim.sim import run_scenario
+from ubrsim.sweep import results_csv, row_for
 
 
 def outcome(kwargs):
@@ -60,11 +64,13 @@ def outcome(kwargs):
         if key in kwargs:
             kwargs[key] = Fraction(kwargs[key])
     try:
-        result = run_scenario(build_scenario(**kwargs))
+        scenario = build_scenario(**kwargs)
+        result = run_scenario(scenario)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
     canonical = json.dumps(dataclasses.asdict(result), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    row = results_csv([row_for(scenario, result)]).splitlines()[1]
+    return f"{hashlib.sha256(canonical.encode()).hexdigest()} {row}"
 
 
 points = json.load(sys.stdin)
