@@ -7,13 +7,14 @@ early, as under `| head`), 1 invalid input, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
 from .engine import InvariantError
-from .scenario import parse_scenario_file
+from .scenario import parse_scenario_text
 from .sim import Simulation, run_scenario
-from .sweep import SweepSpec, emit_results, open_output, parse_sweep_file, row_for, run_sweep
+from .sweep import SweepSpec, emit_results, parse_sweep_text, row_for, run_sweep
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -35,14 +36,6 @@ TABLES = {
         for c, buffers in (("lan", (1000, 2000, 3000)), ("wan", (12000, 24000, 36000)))
     },
 }
-
-
-def _configs_arg(value: str) -> tuple[str, ...]:
-    if value == "both":
-        return ("lan", "wan")
-    if value in ("lan", "wan"):
-        return (value,)
-    raise argparse.ArgumentTypeError(f"unknown config {value!r}")
 
 
 def positive_int(value: str) -> int:
@@ -90,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         t = sub.add_parser(names[0], aliases=names[1:], parents=[sweeps], help=help_text)
         t.set_defaults(cmd=_cmd_sweep, table=TABLES[names[0]])
-        t.add_argument("--config", type=_configs_arg, default=("lan", "wan"),
-                       help="lan, wan, or both (default both)")
+        t.add_argument("--config", choices=("lan", "wan", "both"), default="both",
+                       metavar="CONFIG", help="lan, wan, or both (default both)")
 
     trace_p = sub.add_parser("trace", help="emit one conn,time_ns,cwnd table for one scenario")
     trace_p.set_defaults(cmd=_cmd_trace)
@@ -100,9 +93,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_input(path: str) -> str:
+    """An input file's text: UTF-8, a leading byte-order mark allowed."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc}") from exc
+
+
+def _output_stream(destination):
+    """A context of the stream a command writes to: destination opened for
+    writing, or stdout (None or "-"). Commands open it before their first
+    run, so a bad path fails at once."""
+    if destination is None or destination == "-":
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(destination, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(f"cannot write results to {destination!r}: {exc}") from exc
+
+
 def _cmd_run(args) -> int:
-    scenario = parse_scenario_file(args.scenario)
-    with open_output(args.output) as out:
+    scenario = parse_scenario_text(_read_input(args.scenario))
+    with _output_stream(args.output) as out:
         emit_results([row_for(scenario, run_scenario(scenario))], args.format, out)
     return EXIT_OK
 
@@ -110,13 +124,13 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     """A sweep file, or a built-in table: one sweep per configuration class."""
     if args.table is None:
-        specs = [parse_sweep_file(args.sweep)]
+        specs = [parse_sweep_text(_read_input(args.sweep))]
     else:
-        specs = [args.table[config] for config in args.config]
+        specs = [spec for config, spec in args.table.items() if args.config in (config, "both")]
     expanded = [spec.scenarios() for spec in specs]
     sizes = " + ".join(str(len(points)) for points in expanded)
     print(f"sweep: cross product of {sizes} points", file=sys.stderr)
-    with open_output(args.output) as out:
+    with _output_stream(args.output) as out:
         rows = run_sweep([point for points in expanded for point in points],
                          parallelism=args.parallel, report=sys.stderr,
                          columns=specs[0].columns)  # a table's specs add no column
@@ -141,10 +155,10 @@ class CwndTrace(Simulation):
 
 def _cmd_trace(args) -> int:
     """One conn,time_ns,cwnd table: connection by connection, each in time order."""
-    sim = CwndTrace(parse_scenario_file(args.scenario))
-    with open_output(args.output) as out:
+    sim = CwndTrace(parse_scenario_text(_read_input(args.scenario)))
+    with _output_stream(args.output) as out:
         sim.run()
-        (out or sys.stdout).write("conn,time_ns,cwnd\n" + "".join(
+        out.write("conn,time_ns,cwnd\n" + "".join(
             f"{conn},{t},{cwnd}\n" for conn, trace in enumerate(sim.traces) for t, cwnd in trace))
     return EXIT_OK
 

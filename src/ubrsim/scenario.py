@@ -15,7 +15,6 @@ knows how a point resolves (class defaults, policy aliases, R and Z).
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,15 +24,15 @@ from .switches import Policy
 
 
 class ScenarioError(ValueError):
-    """Invalid scenario input; carries the offending field name and, as
-    scenario, the point as build_scenario resolved it before a check failed
-    (for reporting only, never run), or None where nothing resolved."""
+    """Invalid scenario input; its message leads with the offending field
+    name, and it carries, as scenario, the point as build_scenario resolved
+    it before a check failed (for reporting only, never run), or None where
+    nothing resolved."""
 
     scenario: Scenario | None = None
 
     def __init__(self, field: str, message: str) -> None:
         super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 POLICY_ALIASES = {
@@ -341,8 +340,3 @@ def parse_scenario_text(text: str) -> Scenario:
         for key, (param, parse), raw in read_keys(text, KEYS)
     }
     return build_scenario(**params)
-
-
-def parse_scenario_file(path: str) -> Scenario:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario_text(fh.read())

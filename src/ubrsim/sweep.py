@@ -12,12 +12,10 @@ run or a rejected point, holds its point as build_scenario resolved it.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import itertools
 import json
-import sys
 from dataclasses import dataclass
 
 from .metrics import RunResult
@@ -103,11 +101,6 @@ def parse_sweep_text(text: str) -> SweepSpec:
             raise ScenarioError(key, f"no values in {raw!r}")
         axes.append((param, values))
     return SweepSpec(tuple(axes))
-
-
-def parse_sweep_file(path: str) -> SweepSpec:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        return parse_sweep_text(fh.read())
 
 
 def row_for(scenario: Scenario, result: RunResult) -> ResultRow:
@@ -201,22 +194,9 @@ def results_json(rows, columns=()) -> str:
     return json.dumps([_row_object(r, columns) for r in rows], indent=2) + "\n"
 
 
-def open_output(destination):
-    """destination opened for writing, or a null context for stdout (None or
-    "-"). The CLI opens it before its first run, so a bad path fails at once."""
-    if destination is None or destination == "-":
-        return contextlib.nullcontext()
-    try:
-        return open(destination, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise OSError(f"cannot write results to {destination!r}: {exc}") from exc
-
-
-def emit_results(rows, fmt: str = "csv", out=None, columns=()) -> None:
-    """Write rows as CSV or JSON to an open text stream, or to stdout (None),
-    each with a column per name in columns (a sweep's SweepSpec.columns);
-    open_output turns a destination into one."""
+def emit_results(rows, fmt: str, out, columns=()) -> None:
+    """Write rows as CSV or JSON to the open text stream out, each with a
+    column per name in columns (a sweep's SweepSpec.columns)."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    (out or sys.stdout).write(results_csv(rows, columns) if fmt == "csv"
-                              else results_json(rows, columns))
+    out.write(results_csv(rows, columns) if fmt == "csv" else results_json(rows, columns))

@@ -66,19 +66,19 @@ def test_policy_aliases():
 def test_infinite_buffer_requires_tail_drop():
     with pytest.raises(ScenarioError) as err:
         build_scenario(config="lan", sources=5, buffer=None, policy="epd")
-    assert err.value.field == "buffer"
+    assert str(err.value).startswith("buffer: ")
 
 
 def test_zero_sources_rejected():
     with pytest.raises(ScenarioError) as err:
         build_scenario(sources=0)
-    assert err.value.field == "sources"
+    assert str(err.value).startswith("sources: ")
 
 
 def test_threshold_must_be_below_capacity():
     with pytest.raises(ScenarioError) as err:
         build_scenario(buffer=100, policy="epd", r_cells=100)
-    assert err.value.field == "buffer"
+    assert str(err.value).startswith("buffer: ")
     with pytest.raises(ScenarioError):
         build_scenario(buffer=150, policy="epd")  # default K-200 underflows
 
@@ -136,7 +136,7 @@ def test_parse_infinite_buffer():
 def test_parse_rejects_unknown_keys():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("config = lan\nbogus_key = 3\n")
-    assert err.value.field == "bogus_key"
+    assert str(err.value).startswith("bogus_key: ")
     with pytest.raises(ScenarioError):
         parse_scenario_text("[policy]\nkind = epd\nnonsense = 1\n")
 
@@ -144,7 +144,7 @@ def test_parse_rejects_unknown_keys():
 def test_parse_rejects_sub_nanosecond_delay():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("link_delay_us = 0.0000005\n")
-    assert err.value.field == "link_delay_us"
+    assert str(err.value).startswith("link_delay_us: ")
 
 
 def test_parse_rejects_unknown_section():
@@ -175,7 +175,7 @@ def test_tick_shorter_than_one_frame_on_the_wire_is_rejected():
     for tick in (2, 100, 1000):
         with pytest.raises(ScenarioError) as err:
             build_scenario(tick_ns=tick, **recorded)
-        assert err.value.field == "tick_ns"
+        assert str(err.value).startswith("tick_ns: ")
     # 193 cells of 662500/243 ns each: 526183.1 ns on the wire.
     with pytest.raises(ScenarioError, match="526184 ns"):
         build_scenario(tick_ns=526_183, **recorded)
@@ -186,7 +186,7 @@ def test_tick_shorter_than_one_frame_on_the_wire_is_rejected():
     build_scenario(tick_ns=32_717)
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("tick_ms = 0.000002\n")
-    assert err.value.field == "tick_ns"
+    assert str(err.value).startswith("tick_ns: ")
 
 
 def test_thresholds_are_resolved_at_build_time():
@@ -219,7 +219,7 @@ def test_thresholds_are_resolved_at_build_time():
 def test_policy_rule_failures_name_the_key(kwargs, field):
     with pytest.raises(ScenarioError) as err:
         build_scenario(**kwargs)
-    assert err.value.field == field
+    assert str(err.value).startswith(f"{field}: ")
     # A threshold the user did not set is named as a default, with its rule.
     message = str(err.value)
     defaulted = "R=" in message and not {"r_cells", "r_fraction"} & kwargs.keys()
@@ -238,7 +238,6 @@ def test_policy_rule_failures_name_the_key(kwargs, field):
 def test_rejection_messages_lead_with_their_field(build, message):
     with pytest.raises(ScenarioError) as err:
         build()
-    assert err.value.field == message.split(":")[0]
     assert str(err.value).startswith(message)
 
 
@@ -246,21 +245,19 @@ def test_defaulted_initial_ssthresh_error_names_rcvwnd():
     # initial_ssthresh defaults to rcvwnd, which is the key the user set.
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("mss = 512\nrcvwnd = 1000\n")
-    assert err.value.field == "rcvwnd"
+    assert str(err.value).startswith("rcvwnd: ")
     assert "initial_ssthresh" in str(err.value)
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("mss = 512\nrcvwnd = 65535\ninitial_ssthresh = 600\n")
-    assert err.value.field == "initial_ssthresh"
+    assert str(err.value).startswith("initial_ssthresh: ")
 
 
 def test_rto_errors_name_the_key_set():
     with pytest.raises(ScenarioError) as err:
         build_scenario(rto_initial_ticks=0)
-    assert err.value.field == "rto_initial_ticks"
     assert str(err.value) == "rto_initial_ticks: must be at least 1, got 0"
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("rto_max_ticks = 2\n")
-    assert err.value.field == "rto_max_ticks"
     assert str(err.value) == "rto_max_ticks: must be at least rto_initial_ticks (3), got 2"
 
 

@@ -340,8 +340,75 @@ def test_cli_rejects_bad_scenario(tmp_path):
 
 
 def test_cli_rejects_missing_file():
-    proc = _cli("run", "/nonexistent/path.scn")
-    assert proc.returncode == 1
+    for command in ("run", "sweep", "trace"):
+        proc = _cli(command, "/nonexistent/path.scn")
+        assert proc.returncode == 1
+        assert "/nonexistent/path.scn" in proc.stderr
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", "[scenario]\nsources = 3\nduration_s = 0.01\n"),
+    ("run", "sources = 3\nduration_s = 0.01\n"),
+    ("trace", "[scenario]\nsources = 3\nduration_s = 0.01\n"),
+    ("trace", "sources = 3\nduration_s = 0.01\n"),
+    ("sweep", "[sweep]\nsources = 2, 3\nduration_s = 0.01\n"),
+    ("sweep", "sources = 2, 3\nduration_s = 0.01\n"),
+], ids=["run", "run-headerless", "trace", "trace-headerless", "sweep", "sweep-headerless"])
+def test_a_byte_order_mark_is_allowed(tmp_path, capsys, command, text):
+    # Windows Notepad saves UTF-8 with a byte-order mark; it reads as the
+    # same file without one.
+    outputs = []
+    for name, body in (("plain", text), ("bom", "\ufeff" + text)):
+        path, out = tmp_path / name, tmp_path / f"{name}.out"
+        path.write_text(body, encoding="utf-8")
+        assert main([command, str(path), "-o", str(out)]) == 0, capsys.readouterr().err
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "trace"])
+def test_an_undecodable_file_is_named(tmp_path, capsys, command):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes("# caf\u00e9\nsources = 3\n".encode("latin-1"))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode byte 0xe9 "
+        "in position 5: invalid continuation byte\n")
+
+
+_LOSSY_RUN = ("sources = 3\nbuffer = 300\ntick_ms = 1\nduration_s = 0.05\n"
+              "[policy]\nkind = epd\nr_cells = 100\n")
+
+
+@pytest.mark.parametrize("fmt, lines, digest", [
+    ("csv", 2, "5dccf4330fd8eec2e9380713cb2db2803b4cacb432e927ae956d0805cdaf4af6"),
+    ("json", 17, "020d91b30f6c3e5d317c010a1c1a17c72818b7c2f8250c0ac14fb35625ac3b43"),
+])
+def test_run_output_is_pinned(tmp_path, capsys, fmt, lines, digest):
+    # A run that drops cells under EPD, so every metric column is non-trivial.
+    path = tmp_path / "lossy.scn"
+    path.write_text(_LOSSY_RUN)
+    out = tmp_path / f"out.{fmt}"
+    assert main(["run", str(path), "--format", fmt, "-o", str(out)]) == 0
+    data = out.read_bytes()
+    assert (len(data.splitlines()), hashlib.sha256(data).hexdigest()) == (lines, digest)
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", _LOSSY_RUN),
+    ("sweep", "[sweep]\nsources = 2, 3\nbuffer = 80, infinite\nduration_s = 0.02\n"),
+])
+def test_dash_output_is_the_output_path_bytes(tmp_path, monkeypatch, capsys, command, text):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main([command, str(path), "-o", "-"]) == 0
+    stdout = capsys.readouterr().out
+    assert main([command, str(path), "-o", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "out.csv").read_bytes() == stdout.encode()
+    assert not (tmp_path / "-").exists()
 
 
 def test_cli_sweep_runs_and_reports_cardinality(tmp_path):
@@ -375,7 +442,7 @@ def test_sweep_duration_override_parses():
 def test_bad_sweep_value_names_its_key(text, field):
     with pytest.raises(ScenarioError) as err:
         parse_sweep_text(f"[sweep]\n{text}\n")
-    assert err.value.field == field
+    assert str(err.value).startswith(f"{field}: ")
 
 
 def test_sweep_comment_before_header_parses():
@@ -387,7 +454,7 @@ def test_sweep_comment_before_header_parses():
 def test_sweep_file_rejects_other_sections():
     with pytest.raises(ScenarioError) as err:
         parse_sweep_text("[sweep]\nbuffer = 1000\n\n[policy]\nkind = epd\n")
-    assert err.value.field == "file"
+    assert str(err.value).startswith("file: ")
     assert "[policy]" in str(err.value)
     # [DEFAULT] is an unknown section like any other: its axes are neither
     # dropped nor copied into [sweep].
@@ -414,6 +481,7 @@ def test_cli_sweep_bad_value_exits_1_naming_the_key(tmp_path, text):
     ["table1", "--parallel", "abc"],
     ["table1", "--parallel", "0"],
     ["sweep", "x.sweep", "--parallel", "-2"],
+    ["table1", "--config", "xyz"],
     ["no-such-command"],
 ])
 def test_cli_usage_errors_exit_1(argv, capsys):
@@ -756,12 +824,15 @@ def test_tables_and_one_value_sweeps_keep_the_header(tmp_path, monkeypatch, caps
         assert lines[0] == CSV_HEADER and len(lines) == 1 + rows
 
 
-def test_table3_is_an_alias_of_table2():
+def test_table3_is_an_alias_of_table2(monkeypatch, capsys):
     parser = _build_parser()
     assert parser.parse_args(["table1"]).table is TABLES["table1"]
     assert parser.parse_args(["table2"]).table is TABLES["table2"]
     assert parser.parse_args(["table3"]).table is TABLES["table2"]
-    assert parser.parse_args(["table3", "--config", "lan"]).config == ("lan",)
+    ran = []
+    monkeypatch.setattr("ubrsim.cli.run_sweep", lambda points, **kw: ran.append(points) or [])
+    assert main(["table3", "--config", "lan"]) == 0
+    assert ran == [TABLES["table2"]["lan"].scenarios()]
 
 
 def test_table_commands_run_their_sweeps(monkeypatch, capsys):
