@@ -29,7 +29,8 @@ def fairness_index(values) -> float:
     """Jain's index (sum x)^2 / (n * sum x^2), in [1/n, 1].
 
     1 means equal shares, 1/n means a single hog. An all-zero vector returns
-    1 by convention; RunResult flags that case as fairness_degenerate.
+    1 by convention; RunResult flags that case as fairness_degenerate, and
+    a result row shows its fairness empty in CSV and null in JSON.
     """
     values = list(values)
     n = len(values)

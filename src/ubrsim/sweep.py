@@ -44,14 +44,16 @@ _CONFIGURATION = (
     ("r_fraction", "r_fraction", lambda s: s.r_fraction),
     ("z", "z", lambda s: None if s.z is None else float(s.z)),
 )
-# A metric column: its name and the RunResult field it shows; error follows them.
+# A metric column: its name and its value in a RunResult; error follows them.
+# A run that delivered nothing shows no fairness: Jain's index of an all-zero
+# vector is 1 only by convention (RunResult.fairness_degenerate).
 _METRICS = (
-    ("efficiency", "efficiency"),
-    ("fairness", "fairness"),
-    ("max_queue_cells", "max_queue_cells"),
-    ("drops", "cells_dropped"),
-    ("reassembly_discards", "reassembly_discards"),
-    ("retransmits", "retransmitted_segments"),
+    ("efficiency", lambda r: r.efficiency),
+    ("fairness", lambda r: None if r.fairness_degenerate else r.fairness),
+    ("max_queue_cells", lambda r: r.max_queue_cells),
+    ("drops", lambda r: r.cells_dropped),
+    ("reassembly_discards", lambda r: r.reassembly_discards),
+    ("retransmits", lambda r: r.retransmitted_segments),
 )
 # Each multi-valued axis without a configuration column adds one after
 # error, named by its parameter: the Scenario field of that name, but these.
@@ -159,8 +161,8 @@ def _row_items(row: ResultRow, columns, outcome: bool = True):
     for name, _, value in _CONFIGURATION:
         yield name, value(row.scenario)
     if outcome:
-        for name, field in _METRICS:
-            yield name, None if row.result is None else getattr(row.result, field)
+        for name, value in _METRICS:
+            yield name, None if row.result is None else value(row.result)
         yield "error", row.error
     for name in columns:
         yield name, _ADDED[name](row.scenario) if name in _ADDED else getattr(row.scenario, name)

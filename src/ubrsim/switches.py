@@ -45,7 +45,7 @@ UNBOUNDED = sys.maxsize  # the integer K of an unbounded buffer
 
 
 class OutputPort:
-    """FIFO cell queue with per-VC accounting and a line-rate transmitter.
+    """FIFO cell queue with a line-rate transmitter.
 
     on_cell_arrival applies the drop rule (see the module docstring) inline
     for every policy and returns its verdict as a DropReason, NONE for an
@@ -53,9 +53,10 @@ class OutputPort:
     R and Z come resolved and checked by build_scenario. The transmitter is
     busy exactly while X > 0: the cell that makes X = 1 starts service.
 
-    Per-VC counters are updated only by enqueue/dequeue, never by scanning,
-    so the per-cell cost stays O(1); check() tests the accounting identities
-    in O(VCs), and Simulation calls it at the end of every run. An admitted
+    Only Selective Drop and FBA read per-VC occupancy, so only their ports
+    keep y, each Y_i counted as cells are queued and served (None under tail
+    drop and EPD); N_a is counted from y at a load-ratio decision. check(),
+    called at the end of every run, recounts Y_i from the queue. An admitted
     cell past its frame's last raises: a frame crosses one port only once.
     For the same reason a frame-aware port marks a frame it drops a cell of
     as doomed on the frame itself (see aal5.Frame), and drops every later
@@ -96,8 +97,7 @@ class OutputPort:
         self.z_num, self.z_den = (z or 1).as_integer_ratio()
         self.queue: deque = deque()  # frame, idx, frame, idx, ...
         self.x = 0
-        self.y = [0] * n_vcs
-        self.na = 0
+        self.y = [0] * n_vcs if policy in (Policy.SELECTIVE_DROP, Policy.FBA) else None
         self.clock = CellClock(rate_bps)
         self.next_hop = list(next_hop)
         # statistics
@@ -122,7 +122,8 @@ class OutputPort:
             else:
                 # Y_i*N_a/X > Z, cross-multiplied; FBA scales Z by
                 # (K-R)/(X-R), where X > R makes X - R at least 1.
-                share = self.y[vc] * self.na * self.z_den
+                y = self.y
+                share = y[vc] * (len(y) - y.count(0)) * self.z_den
                 cutoff = self.z_num * x
                 if self.policy is Policy.FBA:
                     share *= x - self.r
@@ -147,10 +148,8 @@ class OutputPort:
             self.x = x
             if x > self.max_x:
                 self.max_x = x
-            yv = self.y[vc] + 1
-            self.y[vc] = yv
-            if yv == 1:
-                self.na += 1
+            if self.y is not None:
+                self.y[vc] += 1
             if x == 1:  # the port was idle: start serving this cell
                 engine = self.engine
                 engine.schedule(
@@ -165,10 +164,8 @@ class OutputPort:
         x = self.x - 1
         self.x = x
         vc = frame.vc
-        yv = self.y[vc] - 1
-        self.y[vc] = yv
-        if not yv:
-            self.na -= 1
+        if self.y is not None:
+            self.y[vc] -= 1
         self.cells_out += 1
         self.next_hop[vc](frame, idx)
         if x:
@@ -177,20 +174,22 @@ class OutputPort:
             )
 
     def check(self) -> None:
-        """Raise InvariantError unless 2X = len(queue), sum(Y_i) = X, N_a
-        counts the VCs with Y_i > 0 and 0 <= X <= K."""
+        """Raise InvariantError unless 2X = len(queue), 0 <= X <= K and, on a
+        port that keeps Y_i, each Y_i counts the queued cells of VC i."""
         x = self.x
         if 2 * x != len(self.queue):
             raise InvariantError(
                 f"{self.name}: X={x} but queue holds {len(self.queue)} entries, not {2 * x}"
             )
-        if sum(self.y) != x:
-            raise InvariantError(f"{self.name}: sum(Y_i)={sum(self.y)} != X={x}")
-        active = len(self.y) - self.y.count(0)
-        if active != self.na:
-            raise InvariantError(f"{self.name}: N_a={self.na} but {active} VCs active")
         if not 0 <= x <= self.k:
             raise InvariantError(f"{self.name}: X={x} outside [0, {self.k}]")
+        y = self.y
+        if y is not None:
+            queued = [0] * len(y)
+            for frame in list(self.queue)[::2]:
+                queued[frame.vc] += 1
+            if queued != y:
+                raise InvariantError(f"{self.name}: Y_i={y} but queued cells per VC are {queued}")
 
     def drops_total(self) -> int:
         return sum(self.drops_by_reason)

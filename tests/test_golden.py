@@ -50,6 +50,13 @@ GRID = {
     # horizon, and under tail drop many partial frames are discarded.
     "wan5-mss9180-infinite": dict(config="wan", sources=5, mss=9180),
     "lan5-tail-k3000-mss9180": dict(sources=5, buffer=3000, mss=9180, tick_ns=MS),
+    # The lockstep point: the 15 sources start together and stay in step,
+    # and under every policy nothing is delivered in 2 s. It hangs on
+    # equal-time event order more than any other run here.
+    **{f"lan15-mss1460-k300-{label}": dict(sources=15, mss=1460, buffer=300, policy=policy,
+                                           duration_ns=2_000_000_000)
+       for label, policy in (("tail", "tail_drop"), ("epd", "epd"),
+                             ("sd", "selective_drop"), ("fba", "fba"))},
 }
 
 # Recorded on the seed code, before the fan-out legs became serializer hops.
@@ -72,6 +79,14 @@ GOLDEN = {
     # Recorded before host delivery became one event per frame.
     "wan5-mss9180-infinite": "f7e621d4aff2fb87b2c28ac8d91d9c51d2056c6a2701c5dfc2c00dc6b3346234",
     "lan5-tail-k3000-mss9180": "7d3216006884aa69221b2f664c5efde6552eb9be234ab0e3a5db7e00af15e615",
+    # Recorded before tail-drop and EPD ports stopped keeping per-VC counts.
+    # The three frame-aware policies give one RunResult: no threshold test
+    # drops there, only a full buffer and the rest of its frame, and a
+    # RunResult does not name its policy.
+    "lan15-mss1460-k300-tail": "c3a49e6f7c2949a7dc672a2d13479796edf16b1c1d2bae28111c46f7711a4136",
+    "lan15-mss1460-k300-epd": "d8e5339389d40972c1ba39ba780a8efc605e85817592f40609f2db3398fb7540",
+    "lan15-mss1460-k300-sd": "d8e5339389d40972c1ba39ba780a8efc605e85817592f40609f2db3398fb7540",
+    "lan15-mss1460-k300-fba": "d8e5339389d40972c1ba39ba780a8efc605e85817592f40609f2db3398fb7540",
 }
 
 
@@ -81,7 +96,7 @@ def digest(result) -> str:
 
 
 def golden_run(name: str):
-    return run_scenario(build_scenario(duration_ns=TENTH_SECOND, **GRID[name]))
+    return run_scenario(build_scenario(**{"duration_ns": TENTH_SECOND, **GRID[name]}))
 
 
 def test_grid_and_digests_cover_the_same_runs():

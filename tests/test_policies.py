@@ -20,15 +20,24 @@ LOAD_RATIO = DropReason.LOAD_RATIO
 CONTINUED = DropReason.CONTINUED_PACKET_DISCARD
 
 
+N_VCS = 6  # VC 0 and five more: enough for N_a = 5 with Y_0 = 0
+
+
 def _port(policy, k, r=None, z=None):
-    """A one-VC port that checks nothing, so a test may set X, Y_0 and N_a by hand."""
-    return OutputPort(EventQueue(), "p", k, policy, r, z, RATE, [None])
+    """A port that checks nothing, so a test may set X and Y_i by hand."""
+    return OutputPort(EventQueue(), "p", k, policy, r, z, RATE, [None] * N_VCS)
 
 
 def _verdict(port, x, y=0, na=1, first=True):
-    """Set X = x, Y_0 = y and N_a = na, then offer the port one cell on VC 0:
-    the first cell of a fresh 12-cell frame, or one from its middle."""
-    port.x, port.y[0], port.na = x, y, na
+    """Set X = x and, on a port that keeps Y_i, Y_0 = y and N_a = na: VC 0
+    holds y cells and each further active VC one. Then offer the port one
+    cell on VC 0: the first cell of a fresh 12-cell frame, or one from its
+    middle."""
+    port.x = x
+    if port.y is not None:
+        others = na - (1 if y else 0)
+        assert 0 <= others < N_VCS, f"no Y_i gives Y_0={y} and N_a={na}"
+        port.y[:] = [y] + [1] * others + [0] * (N_VCS - 1 - others)
     frame = Frame(0, 0, 512)
     frame.arrived = 0 if first else 1
     return port.on_cell_arrival(frame)
@@ -174,10 +183,8 @@ def _oracle_fba(x, k, r, y, na, z, first):
 
 
 def test_decisions_match_rational_oracle_small_grid():
-    # a quick slice of the exhaustive grid (the full K <= 30 sweep runs in
-    # the acceptance suite)
     zs = [Fraction(2, 10), Fraction(8, 10), Fraction(1)]
-    for k in range(2, 13):
+    for k in range(2, 17):
         tail = _port(Policy.TAIL_DROP, k)
         for r in range(1, k):
             epd = _port(Policy.EPD, k, r)
@@ -185,10 +192,10 @@ def test_decisions_match_rational_oracle_small_grid():
             fbas = [_port(Policy.FBA, k, r, z) for z in zs]
             for x in range(k + 1):
                 for first in (True, False):
+                    assert _verdict(tail, x, first=first) is _oracle_tail(x, k)
                     assert _verdict(epd, x, first=first) is _oracle_epd(x, k, r, first)
                     for y in range(x + 1):
                         for na in (1, 2, 5):
-                            assert _verdict(tail, x, y, na, first) is _oracle_tail(x, k)
                             for z, sd, fba in zip(zs, sds, fbas):
                                 got = _verdict(sd, x, y, na, first)
                                 assert got is _oracle_sd(x, k, r, y, na, z, first)
@@ -228,25 +235,39 @@ def _packet_cells(vc, n=12):
     return [frame] * n
 
 
+def _sd_port():
+    """A checked Selective Drop port, with an unbounded buffer and an R that
+    the tests' few cells never pass, so it keeps Y_i and drops nothing."""
+    return _mk_port(Policy.SELECTIVE_DROP, None, r=100, z=Fraction(8, 10))
+
+
+def test_only_selective_drop_and_fba_ports_keep_per_vc_counts():
+    assert _port(Policy.TAIL_DROP, 10).y is None
+    assert _port(Policy.EPD, 10, r=5).y is None
+    assert _port(Policy.SELECTIVE_DROP, 10, r=5, z=Fraction(1)).y == [0] * N_VCS
+    assert _port(Policy.FBA, 10, r=5, z=Fraction(1)).y == [0] * N_VCS
+
+
 def test_accepted_cells_depart_in_fifo_order():
-    eng, port, sink = _mk_port(Policy.TAIL_DROP, None)
+    eng, port, sink = _sd_port()
     cells = _packet_cells(0) + _packet_cells(1)
     for c in cells:
         port.on_cell_arrival(c)
     eng.run_until(10**9)
     assert sink == list(zip(cells, list(range(12)) * 2))
-    assert port.x == 0 and port.na == 0
+    assert port.x == 0 and port.y == [0, 0, 0]
 
 
 def test_departure_updates_per_vc_counts_and_active_count():
-    eng, port, _ = _mk_port(Policy.TAIL_DROP, None)
+    # N_a, the VCs with cells queued, is counted from Y_i where it is read.
+    eng, port, _ = _sd_port()
     port.on_cell_arrival(_packet_cells(0, n=1)[0])
     port.on_cell_arrival(_packet_cells(1, n=1)[0])
-    assert port.x == 2 and port.na == 2
+    assert port.x == 2 and port.y == [1, 1, 0]  # N_a = 2
     eng.run_until(2726)  # first departure only
-    assert port.x == 1 and port.na == 1
+    assert port.x == 1 and port.y == [0, 1, 0]  # N_a = 1
     eng.run_until(10**9)
-    assert port.x == 0 and port.na == 0
+    assert port.x == 0 and port.y == [0, 0, 0]  # N_a = 0
 
 
 def test_buffer_full_drops_under_every_policy():
@@ -310,20 +331,33 @@ def test_accounting_identities_hold_under_random_traffic():
         vc = rng.randrange(4)
         for cell in _packet_cells(vc, n=rng.randint(1, 12)):
             port.on_cell_arrival(cell)
-        # the port checks sum(Y)=X and the active count after every arrival
-        # and departure; surviving the loop is the assertion
+        # the port recounts X and each Y_i after every arrival and
+        # departure; surviving the loop is the assertion
     eng.run_until(10**9)
     assert port.x == 0
-    assert sum(port.y) == 0
-    assert port.na == 0
+    assert port.y == [0, 0, 0, 0]
 
 
 def test_check_catches_corruption():
-    eng, port, _ = _mk_port(Policy.TAIL_DROP, None)
+    eng, port, _ = _sd_port()
     port.on_cell_arrival(_packet_cells(0, n=1)[0])
     port.y[0] = 5  # sabotage
     with pytest.raises(InvariantError):
         port.on_cell_arrival(_packet_cells(1, n=1)[0])
+
+
+def test_check_catches_a_cell_counted_on_the_wrong_vc():
+    # Moving one cell's count between two active VCs keeps sum(Y_i) = X and
+    # N_a; only recounting each Y_i from the queue sees it.
+    eng, port, _ = _sd_port()
+    for c in _packet_cells(0, n=2) + _packet_cells(1, n=1):
+        port.on_cell_arrival(c)
+    assert port.y == [2, 1, 0]
+    port.y[0] -= 1
+    port.y[1] += 1
+    match = r"p: Y_i=\[1, 2, 0\] but queued cells per VC are \[2, 1, 0\]"
+    with pytest.raises(InvariantError, match=match):
+        port.check()
 
 
 def test_port_catches_a_frame_crossing_it_twice():

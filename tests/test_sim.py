@@ -245,13 +245,14 @@ def test_each_host_receives_only_its_own_senders_frames_once():
 
 
 def test_port_accounting_is_checked_on_every_run():
-    sim = Simulation(_tiny(buffer=None))
+    # Selective Drop, so the port keeps the per-VC counts Y_i that go wrong.
+    sim = Simulation(_tiny(buffer=1000, policy="selective_drop"))
 
     def miscount(_):
         sim.a_fwd_port.y[0] += 1
 
     sim.engine.schedule(TENTH_SECOND // 2, APP_SEND, miscount)
-    with pytest.raises(InvariantError, match=r"A\.fwd: sum\(Y_i\)"):
+    with pytest.raises(InvariantError, match=r"A\.fwd: Y_i="):
         sim.run()
 
 

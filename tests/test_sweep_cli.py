@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -757,6 +758,33 @@ def test_sweep_output_is_pinned(tmp_path, capsys, fmt, lines, digest):
     err = capsys.readouterr().err.encode()
     assert (len(err.splitlines()), hashlib.sha256(err).hexdigest()) == (
         14, "f3d4e2ab30efab81027cea89fb41a63a5c74c4d66d6a75c255cfc78b8ee3295f")
+
+
+_LOCKSTEP_SWEEP = """[sweep]
+config = lan
+sources = 15
+mss = 1460
+buffer = 300
+policy = tail_drop, epd, selective_drop, fba
+duration_s = 2
+"""
+
+
+@pytest.mark.parametrize("fmt, no_fairness", [("csv", ""), ("json", None)])
+def test_a_run_that_delivers_nothing_shows_no_fairness(tmp_path, capsys, fmt, no_fairness):
+    # The lockstep point delivers nothing under every policy. Jain's index
+    # of all-zero throughputs is 1 only by convention, so the row shows none.
+    sweep = tmp_path / "lockstep.sweep"
+    sweep.write_text(_LOCKSTEP_SWEEP)
+    out = tmp_path / f"out.{fmt}"
+    assert main(["sweep", str(sweep), "--format", fmt, "-o", str(out)]) == 0
+    text = out.read_text()
+    rows = list(csv.DictReader(io.StringIO(text))) if fmt == "csv" else json.loads(text)
+    assert [row["policy"] for row in rows] == ["tail_drop", "epd", "selective_drop", "fba"]
+    zero = "0.0000" if fmt == "csv" else 0.0
+    assert [(row["efficiency"], row["fairness"]) for row in rows] == [(zero, no_fairness)] * 4
+    assert capsys.readouterr().err == (
+        "sweep: cross product of 4 points\nsweep: 4 runs, parallelism 1\n")
 
 
 def test_cli_sweep_with_invalid_point_emits_every_row(tmp_path):

@@ -13,9 +13,9 @@ of this checkout's bench/ (read, not changed), and prints one JSON line:
   included, counted per code object) of one bench/workloads.setup,
   averaged over N set-ups made after one unprofiled set-up that fills any
   cache;
-- cell_calls: the Python calls of Simulation.run per injected cell, on a
-  LAN 5-source run with infinite buffers (the lan-lossless scenario) of S
-  seconds.
+- cell_calls: per benchmark workload, the Python calls of Simulation.run
+  per injected cell, summed over the workload's scenarios (lan-policies
+  has one per drop policy) run for S seconds each.
 
 The simulator is deterministic, so equal trees print equal lines, and a
 change that adds set-up or per-cell work shows here when the benchmark's
@@ -46,7 +46,6 @@ import_modules = len(set(sys.modules) - before)
 import cProfile
 import json
 
-from ubrsim.scenario import parse_scenario_text
 from ubrsim.sim import Simulation
 from workloads import WORKLOADS, setup
 
@@ -60,7 +59,7 @@ def calls(profile):
 
 
 setups, seconds = int(sys.argv[1]), sys.argv[2]
-setup_calls = {}
+setup_calls, cell_calls = {}, {}
 for name, workload in WORKLOADS.items():
     text = workload.text()
     setup(workload, text)
@@ -71,17 +70,19 @@ for name, workload in WORKLOADS.items():
     profile.disable()
     setup_calls[name] = round(calls(profile) / setups, 2)
 
-sim = Simulation(parse_scenario_text(WORKLOADS["lan-lossless"].text(seconds)))
-profile = cProfile.Profile()
-profile.enable()
-result = sim.run()
-profile.disable()
+    sims = [Simulation(scenario) for _, scenario in workload.parse(workload.text(seconds))]
+    profile = cProfile.Profile()
+    profile.enable()
+    cells = sum(sim.run().cells_injected for sim in sims)
+    profile.disable()
+    cell_calls[name] = round(calls(profile) / cells, 2)
+
 json.dump({
     "package": ubrsim.__file__,
     "counts": {
         "import_modules": import_modules,
         "setup_calls": setup_calls,
-        "cell_calls": round(calls(profile) / result.cells_injected, 2),
+        "cell_calls": cell_calls,
     },
 }, sys.stdout)
 """
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
     ap.add_argument("--setups", type=int, default=100,
                     help="profiled set-ups per workload (default 100)")
     ap.add_argument("--seconds", default="0.2",
-                    help="simulated seconds of the per-cell run (default 0.2)")
+                    help="simulated seconds of each per-cell run (default 0.2)")
     args = ap.parse_args(argv)
     src = args.src.resolve()
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(BENCH))))
