@@ -79,7 +79,7 @@ class Reassembler:
     def push(self, frame: Frame, idx: int) -> Frame | None:
         """Feed cell idx of frame; returns the frame once complete, else None."""
         if frame is not self.frame:
-            if self.frame is not None and self.count:
+            if self.frame is not None:
                 self.discards += 1
             self.frame = frame
             self.count = 0

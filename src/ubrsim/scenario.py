@@ -6,10 +6,10 @@ Acks ride the reverse path through the same switches. Everything else is a
 named scalar with a LAN or WAN default, overridable per scenario file.
 
 KEYS is the one vocabulary of run input: it maps each key of a scenario
-file, which a sweep file also takes (kind spelled policy) and crosses in
-KEYS order, to its build_scenario parameter and value parser, and every
-Scenario is built and validated by build_scenario, the one place that
-knows how a point resolves (class defaults, policy aliases, R and Z).
+file, which a sweep file also takes and crosses in KEYS order, to its
+build_scenario parameter and value parser, and every Scenario is built
+and validated by build_scenario, the one place that knows how a point
+resolves (class defaults, policy aliases, R and Z).
 """
 
 from __future__ import annotations
@@ -270,31 +270,27 @@ def _scaled(unit: int):
     return parse
 
 
-# The one file vocabulary: section -> key -> (build_scenario parameter,
-# value parser). Keys are read in this order, so the first bad value in
-# it is the one reported, and a sweep crosses them in it.
+# The one file vocabulary: key -> (build_scenario parameter, value parser).
+# Keys are read in this order, so the first bad value in it is the one
+# reported, and a sweep crosses them in it.
 KEYS = {
-    "scenario": {
-        "config": ("config", str.lower),
-        "sources": ("sources", _integer),
-        "buffer": ("buffer", _cells),
-        "reverse_buffer": ("reverse_buffer", _cells),
-        "link_rate_bps": ("link_rate_bps", _integer),
-        "link_delay_us": ("link_delay_ns", _scaled(NS_PER_US)),
-        "mss": ("mss", _integer),
-        "rcvwnd": ("rcvwnd", _integer),
-        "initial_ssthresh": ("initial_ssthresh", _integer),
-        "tick_ms": ("tick_ns", _scaled(NS_PER_MS)),
-        "duration_s": ("duration_ns", _scaled(NS_PER_SEC)),
-        "rto_initial_ticks": ("rto_initial_ticks", _integer),
-        "rto_max_ticks": ("rto_max_ticks", _integer),
-    },
-    "policy": {
-        "kind": ("policy", str.lower),
-        "r_cells": ("r_cells", _integer),
-        "r_fraction": ("r_fraction", _fraction),
-        "z": ("z", _fraction),
-    },
+    "config": ("config", str.lower),
+    "sources": ("sources", _integer),
+    "buffer": ("buffer", _cells),
+    "reverse_buffer": ("reverse_buffer", _cells),
+    "link_rate_bps": ("link_rate_bps", _integer),
+    "link_delay_us": ("link_delay_ns", _scaled(NS_PER_US)),
+    "mss": ("mss", _integer),
+    "rcvwnd": ("rcvwnd", _integer),
+    "initial_ssthresh": ("initial_ssthresh", _integer),
+    "tick_ms": ("tick_ns", _scaled(NS_PER_MS)),
+    "duration_s": ("duration_ns", _scaled(NS_PER_SEC)),
+    "rto_initial_ticks": ("rto_initial_ticks", _integer),
+    "rto_max_ticks": ("rto_max_ticks", _integer),
+    "policy": ("policy", str.lower),
+    "r_cells": ("r_cells", _integer),
+    "r_fraction": ("r_fraction", _fraction),
+    "z": ("z", _fraction),
 }
 
 
@@ -306,37 +302,35 @@ def parse_value(key: str, parse, text: str):
         raise ScenarioError(key, str(exc)) from None
 
 
-def read_keys(text: str, table: dict):
-    """Yield (key, (parameter, parser), raw value) for each key a key=value
-    text sets, in table order. Keys before any header belong to the table's
-    first section; an unknown section or key raises ScenarioError."""
+def read_keys(text: str, section: str):
+    """Yield (key, (parameter, parser), raw value) for each key of KEYS a
+    key=value text sets in its one section, in KEYS order. Keys before any
+    header belong to that section; another section or an unknown key
+    raises ScenarioError."""
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         try:
             parser.read_string(text)
         except configparser.MissingSectionHeaderError:  # a key came first
-            parser.read_string(f"[{next(iter(table))}]\n" + text)
+            parser.read_string(f"[{section}]\n" + text)
     except configparser.Error as exc:
         raise ScenarioError("file", f"unparseable key=value text: {exc}") from None
-    for section in parser.sections():
-        if section not in table:
-            raise ScenarioError("file", f"unknown section [{section}]")
-    for section, keys in table.items():
-        if not parser.has_section(section):
-            continue
-        values = dict(parser.items(section, raw=True))
-        unknown = values.keys() - keys.keys()
-        if unknown:
-            raise ScenarioError(sorted(unknown)[0], f"unknown {section} key")
-        for key, entry in keys.items():
-            if key in values:
-                yield key, entry, values[key]
+    for other in parser.sections():
+        if other != section:
+            raise ScenarioError("file", f"unknown section [{other}]")
+    values = dict(parser.items(section, raw=True)) if parser.has_section(section) else {}
+    unknown = values.keys() - KEYS.keys()
+    if unknown:
+        raise ScenarioError(sorted(unknown)[0], f"unknown {section} key")
+    for key, entry in KEYS.items():
+        if key in values:
+            yield key, entry, values[key]
 
 
 def parse_scenario_text(text: str) -> Scenario:
-    """Parse the flat key=value scenario format (policy keys under [policy])."""
+    """Parse the key=value scenario format: one [scenario] section, header optional."""
     params = {
         param: parse_value(key, parse, raw)
-        for key, (param, parse), raw in read_keys(text, KEYS)
+        for key, (param, parse), raw in read_keys(text, "scenario")
     }
     return build_scenario(**params)

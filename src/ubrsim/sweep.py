@@ -2,12 +2,12 @@
 
 A sweep is a list of axes, (build_scenario parameter, values) pairs, and
 one scenario per combination of their values. A sweep file takes every
-key of scenario.KEYS ([policy] kind spelled policy), crossed in KEYS order,
-outermost first. Runs are isolated (separate processes when parallel), a
-Scenario that several points share runs once, and rows come back in
-cross-product order, each multi-valued axis without a column adding one,
-so output is a pure function of the spec. Every row, of a result, a failed
-run or a rejected point, holds its point as build_scenario resolved it.
+key of scenario.KEYS, crossed in KEYS order, outermost first. Runs are
+isolated (separate processes when parallel), a Scenario that several
+points share runs once, and rows come back in cross-product order, each
+multi-valued axis without a column adding one, so output is a pure
+function of the spec. Every row, of a result, a failed run or a rejected
+point, holds its point as build_scenario resolved it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .metrics import RunResult
-from .scenario import KEYS, Scenario, ScenarioError, build_scenario, parse_value, read_keys
+from .scenario import Scenario, ScenarioError, build_scenario, parse_value, read_keys
 from .sim import run_scenario
 
 
@@ -88,14 +88,9 @@ class SweepSpec:
         return out
 
 
-# Every key of KEYS in crossing order, outermost first; [policy] kind is policy.
-_SWEEP_KEYS = {"sweep": {"policy" if key == "kind" else key: entry
-                         for section in KEYS.values() for key, entry in section.items()}}
-
-
 def parse_sweep_text(text: str) -> SweepSpec:
     axes = []
-    for key, (param, parse), raw in read_keys(text, _SWEEP_KEYS):
+    for key, (param, parse), raw in read_keys(text, "sweep"):
         values = tuple(
             parse_value(key, parse, item.strip()) for item in raw.split(",") if item.strip()
         )

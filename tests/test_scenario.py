@@ -97,9 +97,7 @@ def test_parse_flat_text_with_policy_section():
         sources = 5
         buffer = 1000
         duration_s = 0.5
-
-        [policy]
-        kind = epd
+        policy = epd
         """
     )
     assert s.n_sources == 5
@@ -116,9 +114,7 @@ def test_parse_explicit_section_headers():
         config = wan
         sources = 15
         buffer = 12000
-
-        [policy]
-        kind = fba
+        policy = fba
         r_fraction = 0.5
         z = 0.2
         """
@@ -137,8 +133,9 @@ def test_parse_rejects_unknown_keys():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("config = lan\nbogus_key = 3\n")
     assert str(err.value).startswith("bogus_key: ")
-    with pytest.raises(ScenarioError):
-        parse_scenario_text("[policy]\nkind = epd\nnonsense = 1\n")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text("policy = epd\nnonsense = 1\n")
+    assert str(err.value).startswith("nonsense: ")
 
 
 def test_parse_rejects_sub_nanosecond_delay():
@@ -147,9 +144,22 @@ def test_parse_rejects_sub_nanosecond_delay():
     assert str(err.value).startswith("link_delay_us: ")
 
 
+def test_policy_keys_sit_beside_every_other_key():
+    # One key table: the drop policy is `policy`, as in build_scenario and
+    # a sweep file, with or without the [scenario] header.
+    built = build_scenario(sources=2, buffer=1000, policy="fba")
+    for header in ("", "[scenario]\n"):
+        text = header + "sources = 2\nbuffer = 1000\npolicy = fba\n"
+        assert parse_scenario_text(text) == built
+
+
 def test_parse_rejects_unknown_section():
     with pytest.raises(ScenarioError):
         parse_scenario_text("[topology]\nnodes = 9\n")
+    # The drop policy is a key of [scenario]; a [policy] section is unknown.
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text("sources = 2\n[policy]\npolicy = fba\n")
+    assert str(err.value) == "file: unknown section [policy]"
     # [DEFAULT] is an unknown section like any other: its keys are neither
     # dropped, leaving the default scenario, nor copied into [scenario].
     for text in ("[DEFAULT]\nsources = 3\nduration_s = 0.01\n",
@@ -263,8 +273,8 @@ def test_rto_errors_name_the_key_set():
 
 def test_comment_before_first_header_parses():
     s = parse_scenario_text("# a note\n; another\n\n[scenario]\nsources = 3\nbuffer = 1000\n"
-                            "[policy]\nkind = epd\n")
+                            "policy = epd\n")
     assert (s.n_sources, s.r_cells) == (3, 800)
     # Headerless text, a comment first or not, still belongs to [scenario].
     assert parse_scenario_text("# a note\nsources = 4\n").n_sources == 4
-    assert parse_scenario_text("sources = 4\n[policy]\nkind = ubr\n").n_sources == 4
+    assert parse_scenario_text("sources = 4\npolicy = ubr\n").n_sources == 4

@@ -68,11 +68,31 @@ def test_zero_loss_buffer_is_the_infinite_runs_peak():
     scenario = build_scenario(**point)
     infinite = run_scenario(scenario)
     peak = infinite.max_queue_cells
-    window_cells = (scenario.n_sources * -(-scenario.rcvwnd // scenario.mss)
+    # The sender emits only full segments, so a window holds W // mss of them.
+    window_cells = (scenario.n_sources * (scenario.rcvwnd // scenario.mss)
                     * cells_for_segment(scenario.mss))
-    assert peak == 7_592 <= window_cells == 7_680
+    assert peak == 7_592 <= window_cells == 7_620
     assert run_scenario(build_scenario(buffer=peak, **point)) == infinite
     assert run_scenario(build_scenario(buffer=peak - 1, **point)).cells_dropped == 1
+
+
+# The cells a LAN round trip keeps outside the bottleneck queue: measured,
+# not derived, as the sum of the windows less the infinite-buffer peak at
+# all 16 points N in {2, 5, 10, 15}, W in {8,192, 16,384, 32,768, 65,535}
+# run for 0.2 s.
+LAN_PIPE_CELLS = 28
+
+
+@pytest.mark.parametrize("sources, rcvwnd", [(2, 8_192), (5, 16_384), (10, 32_768),
+                                             (15, 65_535)])
+def test_zero_loss_peak_is_the_window_sum_less_the_lan_pipe(sources, rcvwnd):
+    # The exact form of the zero-loss claim: once every window is open, the
+    # infinite-buffer peak is each window's full segments in cells, summed,
+    # less the pipe. 0.1 s is long enough at these points; 0.05 s is not.
+    scenario = build_scenario(config="lan", sources=sources, rcvwnd=rcvwnd,
+                              duration_ns=TENTH_SECOND)
+    window_cells = sources * (rcvwnd // scenario.mss) * cells_for_segment(scenario.mss)
+    assert run_scenario(scenario).max_queue_cells == window_cells - LAN_PIPE_CELLS
 
 
 def test_identical_runs_are_identical():

@@ -340,6 +340,15 @@ def test_cli_rejects_bad_scenario(tmp_path):
     assert "sources" in proc.stderr
 
 
+def test_cli_run_rejects_a_policy_section(tmp_path, capsys):
+    # The drop policy is the key `policy` beside every other key; a
+    # [policy] section is unknown, like any section but the file's own.
+    path = tmp_path / "old.scn"
+    path.write_text("sources = 2\n[policy]\nkind = fba\n")
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == "error: file: unknown section [policy]\n"
+
+
 def test_cli_rejects_missing_file():
     for command in ("run", "sweep", "trace"):
         proc = _cli(command, "/nonexistent/path.scn")
@@ -378,7 +387,7 @@ def test_an_undecodable_file_is_named(tmp_path, capsys, command):
 
 
 _LOSSY_RUN = ("sources = 3\nbuffer = 300\ntick_ms = 1\nduration_s = 0.05\n"
-              "[policy]\nkind = epd\nr_cells = 100\n")
+              "policy = epd\nr_cells = 100\n")
 
 
 @pytest.mark.parametrize("fmt, lines, digest", [
@@ -961,13 +970,7 @@ def _outcome(build):
 @settings(max_examples=300, deadline=None)
 @given(_SWEEP_FILES)
 def test_one_value_sweep_builds_the_scenario_file_scenario(values):
-    sweep = "[sweep]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
-    policy_keys = {"policy": "kind", "r_cells": "r_cells", "r_fraction": "r_fraction", "z": "z"}
-    scenario = "[scenario]\n" + "".join(
-        f"{k} = {v}\n" for k, v in values.items() if k not in policy_keys
-    ) + "[policy]\n" + "".join(
-        f"{policy_keys[k]} = {v}\n" for k, v in values.items() if k in policy_keys
-    )
-    [point] = parse_sweep_text(sweep).scenarios()
+    body = "".join(f"{k} = {v}\n" for k, v in values.items())
+    [point] = parse_sweep_text("[sweep]\n" + body).scenarios()
     from_sweep = point.error if isinstance(point, ResultRow) else point
-    assert from_sweep == _outcome(lambda: parse_scenario_text(scenario))
+    assert from_sweep == _outcome(lambda: parse_scenario_text("[scenario]\n" + body))
