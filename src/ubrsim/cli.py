@@ -15,6 +15,7 @@ from .engine import InvariantError
 from .scenario import parse_scenario_text
 from .sim import Simulation, run_scenario
 from .sweep import SweepSpec, emit_results, parse_sweep_text, row_for, run_sweep
+from .switches import Policy
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -26,7 +27,7 @@ EXIT_INTERNAL = 2
 # sizes. R and Z take build_scenario's defaults: EPD R = K - 200, and the
 # paper's R = 0.9 K and Z = 0.8 for Selective Drop and FBA.
 _SOURCES = ("sources", (5, 15))
-_POLICIES = ("policy", ("tail_drop", "epd", "selective_drop", "fba"))
+_POLICIES = ("policy", tuple(Policy))
 TABLES = {
     "table1": {
         c: SweepSpec((("config", (c,)), _SOURCES, ("buffer", (None,)))) for c in ("lan", "wan")

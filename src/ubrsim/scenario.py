@@ -7,9 +7,10 @@ named scalar with a LAN or WAN default, overridable per scenario file.
 
 KEYS is the one vocabulary of run input: it maps each key of a scenario
 file, which a sweep file also takes and crosses in KEYS order, to its
-build_scenario parameter and value parser, and every Scenario is built
-and validated by build_scenario, the one place that knows how a point
-resolves (class defaults, policy aliases, R and Z).
+build_scenario parameter and value parser. read_keys is the one place a
+file value is parsed, and every Scenario is built and validated by
+build_scenario, the one place that knows how a point resolves (class
+defaults, policy names, R and Z).
 """
 
 from __future__ import annotations
@@ -35,14 +36,8 @@ class ScenarioError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-POLICY_ALIASES = {
-    "ubr": Policy.TAIL_DROP,
-    "tail_drop": Policy.TAIL_DROP,
-    "epd": Policy.EPD,
-    "sd": Policy.SELECTIVE_DROP,
-    "selective_drop": Policy.SELECTIVE_DROP,
-    "fba": Policy.FBA,
-}
+# The paper's short names; any other policy name is a Policy member's, in any case.
+POLICY_ALIASES = {"ubr": Policy.TAIL_DROP, "sd": Policy.SELECTIVE_DROP}
 
 # Default thresholds: EPD takes R = K - 200 cells, Selective Drop and FBA
 # the paper's R = floor(0.9 K) and Z = 0.8.
@@ -113,8 +108,9 @@ def build_scenario(
     if config not in CLASS_DEFAULTS:
         raise ScenarioError("config", f"unknown configuration class {config!r} (lan or wan)")
     if isinstance(policy, str):
+        name = policy.lower()
         try:
-            policy = POLICY_ALIASES[policy.lower()]
+            policy = POLICY_ALIASES[name] if name in POLICY_ALIASES else Policy[name.upper()]
         except KeyError:
             raise ScenarioError("policy", f"unknown policy {policy!r}") from None
     defaults = CLASS_DEFAULTS[config]
@@ -294,19 +290,12 @@ KEYS = {
 }
 
 
-def parse_value(key: str, parse, text: str):
-    """One file value through its key-table parser; raises ScenarioError(key)."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ScenarioError(key, str(exc)) from None
-
-
 def read_keys(text: str, section: str):
-    """Yield (key, (parameter, parser), raw value) for each key of KEYS a
-    key=value text sets in its one section, in KEYS order. Keys before any
-    header belong to that section; another section or an unknown key
-    raises ScenarioError."""
+    """Yield (key, build_scenario parameter, values) for each key of KEYS a
+    key=value text sets in its one section, in KEYS order; values are the
+    comma-separated items, each through the key's parser. Keys before any
+    header belong to that section; another section, an unknown key, an
+    item that does not parse or a key with no items raises ScenarioError."""
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         try:
@@ -318,19 +307,32 @@ def read_keys(text: str, section: str):
     for other in parser.sections():
         if other != section:
             raise ScenarioError("file", f"unknown section [{other}]")
-    values = dict(parser.items(section, raw=True)) if parser.has_section(section) else {}
-    unknown = values.keys() - KEYS.keys()
+    raw = dict(parser.items(section, raw=True)) if parser.has_section(section) else {}
+    unknown = raw.keys() - KEYS.keys()
     if unknown:
         raise ScenarioError(sorted(unknown)[0], f"unknown {section} key")
-    for key, entry in KEYS.items():
-        if key in values:
-            yield key, entry, values[key]
+    for key, (parameter, parse) in KEYS.items():
+        if key not in raw:
+            continue
+        values = []
+        try:
+            for item in raw[key].split(","):
+                item = item.strip()
+                if item:
+                    values.append(parse(item))
+        except ValueError as exc:
+            raise ScenarioError(key, str(exc)) from None
+        if not values:
+            raise ScenarioError(key, f"no values in {raw[key]!r}")
+        yield key, parameter, tuple(values)
 
 
 def parse_scenario_text(text: str) -> Scenario:
-    """Parse the key=value scenario format: one [scenario] section, header optional."""
-    params = {
-        param: parse_value(key, parse, raw)
-        for key, (param, parse), raw in read_keys(text, "scenario")
-    }
+    """Parse the key=value scenario format: one [scenario] section, one value per key."""
+    params = {}
+    for key, parameter, values in read_keys(text, "scenario"):
+        if len(values) > 1:
+            raise ScenarioError(key, f"a scenario file takes one value, got {len(values)}; "
+                                     "cross several in a sweep file")
+        params[parameter] = values[0]
     return build_scenario(**params)

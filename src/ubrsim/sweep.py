@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .metrics import RunResult
-from .scenario import Scenario, ScenarioError, build_scenario, parse_value, read_keys
+from .scenario import Scenario, ScenarioError, build_scenario, read_keys
 from .sim import run_scenario
 
 
@@ -89,15 +89,9 @@ class SweepSpec:
 
 
 def parse_sweep_text(text: str) -> SweepSpec:
-    axes = []
-    for key, (param, parse), raw in read_keys(text, "sweep"):
-        values = tuple(
-            parse_value(key, parse, item.strip()) for item in raw.split(",") if item.strip()
-        )
-        if not values:
-            raise ScenarioError(key, f"no values in {raw!r}")
-        axes.append((param, values))
-    return SweepSpec(tuple(axes))
+    """The SweepSpec of a sweep file's axes, in KEYS order."""
+    return SweepSpec(tuple((parameter, values)
+                           for _, parameter, values in read_keys(text, "sweep")))
 
 
 def row_for(scenario: Scenario, result: RunResult) -> ResultRow:

@@ -13,13 +13,18 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ubrsim.scenario import build_scenario
 from ubrsim.sim import run_scenario
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 TENTH_SECOND = 100_000_000
 # Coarse-tick timeouts (3 ticks) would idle lossy runs for most of a
@@ -106,3 +111,25 @@ def test_grid_and_digests_cover_the_same_runs():
 @pytest.mark.parametrize("name", sorted(GRID))
 def test_run_matches_golden_digest(name):
     assert digest(golden_run(name)) == GOLDEN[name]
+
+
+def _bench_workloads():
+    """bench/workloads.py, whose texts the benchmark's digests were recorded on."""
+    if "workloads" not in sys.modules:  # bench/tests import it by that name
+        spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+        sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["workloads"])
+    return sys.modules["workloads"]
+
+
+# The benchmark reports a changed digest but does not fail on one, so its
+# reference digests are checked here, each run at its workload's own horizon
+# through the file parsers the CLI uses.
+BENCH_DIGESTS = json.loads((BENCH / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("label", sorted(BENCH_DIGESTS))
+def test_benchmark_workload_matches_its_digest(label):
+    workload = _bench_workloads().WORKLOADS[label.split("/")[0]]
+    scenario = dict(workload.parse(workload.text()))[label]
+    assert digest(run_scenario(scenario)) == BENCH_DIGESTS[label]

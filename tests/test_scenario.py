@@ -58,9 +58,16 @@ def test_r_fraction_floors():
 
 
 def test_policy_aliases():
-    assert build_scenario(policy="ubr").policy is Policy.TAIL_DROP
-    s = build_scenario(buffer=1000, policy="selective_drop")
-    assert s.policy is Policy.SELECTIVE_DROP
+    # Each policy's name in either case, and the paper's two short names.
+    for name, policy in (
+        ("tail_drop", Policy.TAIL_DROP), ("TAIL_DROP", Policy.TAIL_DROP),
+        ("epd", Policy.EPD), ("EPD", Policy.EPD),
+        ("selective_drop", Policy.SELECTIVE_DROP), ("SELECTIVE_DROP", Policy.SELECTIVE_DROP),
+        ("fba", Policy.FBA), ("FBA", Policy.FBA),
+        ("ubr", Policy.TAIL_DROP), ("sd", Policy.SELECTIVE_DROP),
+    ):
+        assert build_scenario(buffer=1000, policy=name).policy is policy, name
+        assert parse_scenario_text(f"buffer = 1000\npolicy = {name}\n").policy is policy, name
 
 
 def test_infinite_buffer_requires_tail_drop():
@@ -244,7 +251,8 @@ def test_policy_rule_failures_name_the_key(kwargs, field):
     (lambda: build_scenario(policy="epd", buffer=1000, r_cells=100, r_fraction=Fraction(1, 2)),
      "r_cells: give r_cells or r_fraction, not both"),
     (lambda: parse_scenario_text("[scenario]\nsources\n"), "file: unparseable key=value text"),
-], ids=["negative-delay", "r_cells-and-r_fraction", "key-without-value"])
+    (lambda: parse_scenario_text("sources =\n"), "sources: no values in ''"),
+], ids=["negative-delay", "r_cells-and-r_fraction", "key-without-value", "value-without-items"])
 def test_rejection_messages_lead_with_their_field(build, message):
     with pytest.raises(ScenarioError) as err:
         build()
@@ -269,6 +277,11 @@ def test_rto_errors_name_the_key_set():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("rto_max_ticks = 2\n")
     assert str(err.value) == "rto_max_ticks: must be at least rto_initial_ticks (3), got 2"
+
+
+def test_empty_comma_items_are_skipped():
+    # A value is read as a sweep file reads it, item by item.
+    assert parse_scenario_text("sources = 5,\n").n_sources == 5
 
 
 def test_comment_before_first_header_parses():

@@ -340,6 +340,17 @@ def test_cli_rejects_bad_scenario(tmp_path):
     assert "sources" in proc.stderr
 
 
+@pytest.mark.parametrize("text, key", [("sources = 1, 2\n", "sources"),
+                                       ("buffer = 1000\npolicy = epd, fba\n", "policy")])
+def test_cli_run_rejects_a_key_with_two_values(tmp_path, capsys, text, key):
+    # A list of values is a sweep file's; a scenario file names one point.
+    path = tmp_path / "two.scn"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {key}: a scenario file takes one value, got 2; cross several in a sweep file\n")
+
+
 def test_cli_run_rejects_a_policy_section(tmp_path, capsys):
     # The drop policy is the key `policy` beside every other key; a
     # [policy] section is unknown, like any section but the file's own.

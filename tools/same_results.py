@@ -3,32 +3,33 @@
     python3 tools/same_results.py BASE_SRC CHANGE_SRC --runs N --seed S
 
 BASE_SRC and CHANGE_SRC are directories holding the ubrsim package (a
-checkout's src/). The script draws N short scenarios from seed S: LAN and
-WAN, 1 to 15 sources, every drop policy, buffers from one cell to 3,000,
-link delays from 0 to 5 ms with extra weight on the tie-sensitive values
-around one cell time (2725 to 2728 ns), and an MSS of 512 bytes (12
-cells, the paper's), 40 (2 cells with no padding), 1,460 (32 cells) or
-9,180 (193 cells). Some frame-aware runs set the threshold R as a
-fraction of the buffer K (1 among them), and some of the others as
-r_cells, from 1 cell to above K; build_scenario rejects R >= K. About
-half the runs also set the receiver window away from its default: below
-two segments (which build_scenario rejects), not a multiple of the MSS,
-65,535 or 600,000 bytes; and some set initial_ssthresh. Now and then a
-draw also takes an input that one of build_scenario's other checks
-rejects: fewer than one source, an MSS below one byte, a tick below one
-frame time (or just above it), a duration, rto_initial_ticks or link
-rate below one, rto_max_ticks below rto_initial_ticks, a negative link
-delay, a buffer or reverse buffer of 0, an infinite reverse buffer
-(rejected under a frame-aware policy), both r_cells and r_fraction, or an
-unknown config or policy name; so about one draw in eight tests which
-error comes first and its message. Each tree runs all of them in its own
-subprocess. A run's outcome is the sha256 of its RunResult in
-canonical JSON (every field, keys sorted; the form of tests/test_golden.py)
-and, after a space, its row as the CLI renders it (the data line of
-sweep.results_csv) or, for a combination build_scenario rejects or a run
-that raises, the error's type and message. Outcomes that differ are
-printed with their scenario, and the exit status is 1 if there is any,
-else 0.
+checkout's src/). The script draws N short scenarios from seed S: LAN
+and WAN, 1 to 15 sources, every drop policy, each under one of its
+spellings (its canonical name, the paper's ubr or sd, or EPD in upper
+case), buffers from one cell to 3,000, link delays from 0 to 5 ms with
+extra weight on the tie-sensitive values around one cell time (2725 to
+2728 ns), and an MSS of 512 bytes (12 cells, the paper's), 40 (2 cells
+with no padding), 1,460 (32 cells) or 9,180 (193 cells). Some
+frame-aware runs set the threshold R as a fraction of the buffer K (1
+among them), and some of the others as r_cells, from 1 cell to above K;
+build_scenario rejects R >= K. About half the runs also set the receiver
+window away from its default: below two segments (which build_scenario
+rejects), not a multiple of the MSS, 65,535 or 600,000 bytes; and some
+set initial_ssthresh. Now and then a draw also takes an input that one
+of build_scenario's other checks rejects: fewer than one source, an MSS
+below one byte, a tick below one frame time (or just above it), a
+duration, rto_initial_ticks or link rate below one, rto_max_ticks below
+rto_initial_ticks, a negative link delay, a buffer or reverse buffer of
+0, an infinite reverse buffer (rejected under a frame-aware policy),
+both r_cells and r_fraction, or an unknown config or policy name; so
+about one draw in eight tests which error comes first and its message.
+Each tree runs all of them in its own subprocess. A run's outcome is the
+sha256 of its RunResult in canonical JSON (every field, keys sorted; the
+form of tests/test_golden.py) and, after a space, its row as the CLI
+renders it (the data line of sweep.results_csv) or, for a combination
+build_scenario rejects or a run that raises, the error's type and
+message. Outcomes that differ are printed with their scenario, and the
+exit status is 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -42,7 +43,14 @@ import sys
 from pathlib import Path
 
 MS = 1_000_000
-POLICIES = ("tail_drop", "epd", "sd", "fba")
+# Each drop policy, drawn evenly, and the spellings of it drawn: the
+# canonical name, the paper's short name and one name in upper case.
+POLICIES = {
+    "tail_drop": ("tail_drop", "ubr"),
+    "epd": ("epd", "EPD"),
+    "selective_drop": ("selective_drop", "sd"),
+    "fba": ("fba",),
+}
 DELAYS_NS = (0, 1, 1000, 2725, 2726, 2727, 2728, 5000, 5 * MS)
 
 # Runs in each tree's subprocess: reads a JSON list of build_scenario
@@ -104,11 +112,11 @@ def draw_scenarios(runs: int, seed: int) -> list[dict]:
     rng = random.Random(seed)
     points = []
     for _ in range(runs):
-        policy = rng.choice(POLICIES)
+        policy = rng.choice(tuple(POLICIES))
         point = {
             "config": rng.choice(("lan", "wan")),
             "sources": rng.randint(1, 15),
-            "policy": policy,
+            "policy": rng.choice(POLICIES[policy]),
             "link_delay_ns": rng.choice(DELAYS_NS + (rng.randint(0, 5 * MS),)),
             "mss": (mss := rng.choice((512, 512, 512, 40, 1460, 9180))),
             "tick_ns": rng.choice((MS, 10 * MS)),
@@ -124,7 +132,7 @@ def draw_scenarios(runs: int, seed: int) -> list[dict]:
             k = point["buffer"]  # R = K or above is rejected
             point["r_cells"] = rng.choice((rng.randint(1, k), rng.randint(1, k), k,
                                            k + rng.randint(1, 50)))
-        if policy in ("sd", "fba") and rng.random() < 0.4:
+        if policy in ("selective_drop", "fba") and rng.random() < 0.4:
             point["z"] = rng.choice(("1/2", "4/5", "1", "3/2", "0"))
         if rng.random() < 0.5:
             point["rcvwnd"] = rng.choice((
